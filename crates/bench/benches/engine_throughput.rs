@@ -1,34 +1,35 @@
-//! Throughput of the decode-once execution engine vs the legacy
-//! interpret-per-step loop — the perf trajectory's first data points.
+//! Throughput of the timed execution paths that produce the published
+//! numbers, against the legacy interpret-per-step loop.
 //!
 //! Two measurements, both emitted to `BENCH_engine.json`:
 //!
-//! * **instructions/sec** — `run_functional` of the pinned BERT-FFN
-//!   kernel (`3072x768x128`, the heaviest transformer shape; the e8
-//!   quantized row and the f32 `m2` row of the transformer campaign),
-//!   through the legacy stepwise oracle, the decoded engine, the
-//!   check-elided verified path with trace compilation disabled (the
-//!   static analyzer proves the kernel fault-free against the layout
-//!   contract, mints a [`Verified`] token, and the engine drops the
-//!   per-µop legality checks), the trace-compiled path (the fused
-//!   steady-state blocks run as native batched lane loops), and the
-//!   sharded counting engine. The acceptance bars: a ≥2× wall-clock
-//!   win for the decoded engine on the e8 row, and a ≥2× win for the
-//!   trace-compiled path over the untraced verified one.
+//! * **instructions/sec** — a *timed* run (in-order timing model) of
+//!   the pinned BERT-FFN kernel (`3072x768x128`, the heaviest
+//!   transformer shape; the e8 quantized row and the f32 `m2` row of
+//!   the transformer campaign), through the legacy stepwise oracle
+//!   (`run_stepwise_timed`), the checked decoded engine
+//!   (`run_decoded`), and the check-elided verified path
+//!   (`run_decoded_verified`: the static analyzer proves the kernel
+//!   fault-free against the layout contract, mints a `Verified` token,
+//!   and the engine drops the per-µop legality checks). All three must
+//!   produce the same `RunReport`; the bench asserts it. Decode and
+//!   analysis are reported as one-time costs.
 //! * **cells/sec** — a warm sweep: the same grid swept twice through
 //!   `indexmac::sweep::run_cells` on one thread, so the second pass
 //!   runs entirely against the decode-once `ProgramCache` and the
 //!   reused per-thread simulator.
 //!
 //! `INDEXMAC_PROFILE=smoke` caps the GEMM (CI); `default`/`full` run
-//! the uncapped pinned shape.
+//! the uncapped pinned shape. The committed `BENCH_engine.json` comes
+//! from `INDEXMAC_PROFILE=full`; other profiles write under
+//! `target/bench-out/`.
 
 use indexmac::experiment::{decode_cache_stats, reset_decode_cache, ExperimentConfig, Precision};
 use indexmac::kernels::{indexmac2, GemmDims, GemmLayout, KernelParams};
 use indexmac::sparse::{prune, quant, DenseMatrix, NmPattern, StructuredSparseMatrix};
 use indexmac::sweep::{run_cells, SweepGrid};
-use indexmac::vpu::{analyze_with_contract, DecodedProgram, NullObserver, SimConfig, Simulator};
-use indexmac_bench::{banner, Profile};
+use indexmac::vpu::{analyze_with_contract, DecodedProgram, SimConfig, Simulator};
+use indexmac_bench::{banner, write_bench_output, Profile};
 use serde::{Serialize, Value};
 use std::time::Instant;
 
@@ -46,44 +47,26 @@ struct Row {
     lmul: usize,
     dims: GemmDims,
     instructions: u64,
+    cycles: u64,
     decode_ms: f64,
     analyze_ms: f64,
-    legacy_ns: f64,
+    stepwise_ns: f64,
     decoded_ns: f64,
     verified_ns: f64,
-    traced_ns: f64,
-    sharded_ns: f64,
-    shards: usize,
-    fused_runs: usize,
-    fused_uops: usize,
-    traces: usize,
-    traced_uops: usize,
-    static_uops: usize,
 }
 
 impl Row {
     fn speedup(&self) -> f64 {
-        self.legacy_ns / self.decoded_ns
+        self.stepwise_ns / self.decoded_ns
     }
 
     fn verified_speedup(&self) -> f64 {
-        self.legacy_ns / self.verified_ns
+        self.stepwise_ns / self.verified_ns
     }
 
-    /// The tentpole metric: trace-compiled vs the untraced verified
-    /// path (the previous fastest engine configuration).
-    fn trace_speedup(&self) -> f64 {
-        self.verified_ns / self.traced_ns
-    }
-
-    fn fused_coverage(&self) -> f64 {
-        self.fused_uops as f64 / self.static_uops as f64
-    }
-
-    /// Fraction of static µops covered by a compiled trace (a superset
-    /// of the fused runs, which traces embed).
-    fn trace_coverage(&self) -> f64 {
-        self.traced_uops as f64 / self.static_uops as f64
+    /// What the `Verified` token buys on the timed path.
+    fn verified_gain(&self) -> f64 {
+        self.decoded_ns / self.verified_ns
     }
 
     fn ips(&self, ns: f64) -> f64 {
@@ -100,23 +83,15 @@ impl Row {
                 format!("{}x{}x{}", self.dims.rows, self.dims.inner, self.dims.cols).to_value(),
             ),
             ("dynamic_instructions", self.instructions.to_value()),
+            ("cycles", self.cycles.to_value()),
             ("decode_ms", self.decode_ms.to_value()),
             ("analyze_ms", self.analyze_ms.to_value()),
-            ("legacy_run_ns", self.legacy_ns.to_value()),
-            ("decoded_run_ns", self.decoded_ns.to_value()),
-            ("verified_run_ns", self.verified_ns.to_value()),
-            ("traced_run_ns", self.traced_ns.to_value()),
-            ("sharded_run_ns", self.sharded_ns.to_value()),
-            ("shards", self.shards.to_value()),
-            ("fused_runs", self.fused_runs.to_value()),
-            ("fused_uops", self.fused_uops.to_value()),
-            ("fused_coverage", self.fused_coverage().to_value()),
-            ("traces", self.traces.to_value()),
-            ("traced_uops", self.traced_uops.to_value()),
-            ("trace_coverage", self.trace_coverage().to_value()),
+            ("stepwise_timed_run_ns", self.stepwise_ns.to_value()),
+            ("decoded_timed_run_ns", self.decoded_ns.to_value()),
+            ("verified_timed_run_ns", self.verified_ns.to_value()),
             (
-                "legacy_instructions_per_sec",
-                self.ips(self.legacy_ns).to_value(),
+                "stepwise_instructions_per_sec",
+                self.ips(self.stepwise_ns).to_value(),
             ),
             (
                 "decoded_instructions_per_sec",
@@ -126,22 +101,18 @@ impl Row {
                 "verified_instructions_per_sec",
                 self.ips(self.verified_ns).to_value(),
             ),
-            (
-                "traced_instructions_per_sec",
-                self.ips(self.traced_ns).to_value(),
-            ),
             ("speedup", self.speedup().to_value()),
             ("verified_speedup", self.verified_speedup().to_value()),
             (
-                "trace_speedup_over_verified",
-                self.trace_speedup().to_value(),
+                "verified_gain_over_checked",
+                self.verified_gain().to_value(),
             ),
         ])
     }
 }
 
 /// Builds the pinned-shape `vindexmac.vvi` kernel at one precision and
-/// measures `run_functional` through both execution paths.
+/// times a run through each of the three timed paths.
 fn measure_row(
     label: &'static str,
     precision: Precision,
@@ -191,79 +162,50 @@ fn measure_row(
     let mut sim = Simulator::new(sim_cfg);
     layout.write_operands(&a, &b, sim.memory_mut());
 
-    // Warm-up + instruction count (identical across paths by the
-    // differential suite).
-    let instructions = sim
-        .run_functional_decoded(&decoded)
-        .expect("pinned kernel executes");
+    // Warm-up, and the report every path must reproduce.
+    let report = sim.run_decoded(&decoded).expect("pinned kernel executes");
 
-    // The shard size for the sharded counting run: large enough that
-    // per-shard overheads (memory clone, checkpoint) amortize, small
-    // enough that capped (smoke) runs still split.
-    let shard_size = (instructions / 8).max(10_000);
-
-    // The five paths are interleaved within each iteration (rather
+    // The three paths are interleaved within each iteration (rather
     // than measured in back-to-back blocks) so slow drift of the
     // host — CPU frequency, steal time — lands on all of them equally.
     // Each path reports its *minimum* over the iterations: on a shared
     // host a steal-time spike only ever adds time, so the minimum is
     // the estimate closest to the undisturbed cost (a mean lets one
     // spike in one path skew every ratio).
-    let mut legacy_s = f64::INFINITY;
+    let mut stepwise_s = f64::INFINITY;
     let mut decoded_s = f64::INFINITY;
     let mut verified_s = f64::INFINITY;
-    let mut traced_s = f64::INFINITY;
-    let mut sharded_s = f64::INFINITY;
-    let mut shards = 0usize;
     for _ in 0..iters {
         let t = Instant::now();
-        sim.run_stepwise(&program, &mut NullObserver)
+        let r = sim
+            .run_stepwise_timed(&program)
             .expect("legacy loop executes");
-        legacy_s = legacy_s.min(t.elapsed().as_secs_f64());
+        stepwise_s = stepwise_s.min(t.elapsed().as_secs_f64());
+        assert_eq!(r, report, "stepwise oracle diverged");
         let t = Instant::now();
-        sim.run_functional_decoded(&decoded)
-            .expect("decoded engine executes");
+        let r = sim.run_decoded(&decoded).expect("decoded engine executes");
         decoded_s = decoded_s.min(t.elapsed().as_secs_f64());
+        assert_eq!(r, report, "decoded engine diverged");
         let t = Instant::now();
-        sim.run_functional_verified_untraced(&decoded, token)
+        let r = sim
+            .run_decoded_verified(&decoded, token)
             .expect("verified engine executes");
         verified_s = verified_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        sim.run_functional_verified(&decoded, token)
-            .expect("traced engine executes");
-        traced_s = traced_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        let sharded = sim
-            .run_sharded(&decoded, Some(token), shard_size)
-            .expect("sharded engine executes");
-        sharded_s = sharded_s.min(t.elapsed().as_secs_f64());
-        shards = sharded.shards;
+        assert_eq!(r, report, "verified engine diverged");
     }
-    let legacy_ns = legacy_s * 1e9;
-    let decoded_ns = decoded_s * 1e9;
-    let verified_ns = verified_s * 1e9;
-    let traced_ns = traced_s * 1e9;
-    let sharded_ns = sharded_s * 1e9;
 
     Row {
         label,
         sew_bits: precision.bits(),
         lmul,
         dims: caps_dims,
-        instructions,
+        instructions: report.instructions,
+        cycles: report.cycles,
         decode_ms,
         analyze_ms,
-        legacy_ns,
-        decoded_ns,
-        verified_ns,
-        traced_ns,
-        sharded_ns,
-        shards,
-        fused_runs: decoded.fused_runs(),
-        fused_uops: decoded.fused_uops(),
-        traces: decoded.trace_segments(),
-        traced_uops: decoded.traced_uops(),
-        static_uops: decoded.len(),
+        stepwise_ns: stepwise_s * 1e9,
+        decoded_ns: decoded_s * 1e9,
+        verified_ns: verified_s * 1e9,
     }
 }
 
@@ -314,13 +256,13 @@ fn main() {
     let profile = Profile::from_env();
     let base_cfg = profile.config();
     banner(
-        "engine_throughput: decode-once engine vs interpret-per-step",
+        "engine_throughput: timed execution paths vs interpret-per-step",
         &base_cfg,
     );
     let dims = profile.caps().apply(BERT_FFN);
     let iters = if dims == BERT_FFN { 5 } else { 10 };
     println!(
-        "pinned shape {}x{}x{} (BERT-FFN{}), vindexmac.vvi kernel, functional runs x{iters}\n",
+        "pinned shape {}x{}x{} (BERT-FFN{}), vindexmac.vvi kernel, timed runs x{iters}\n",
         dims.rows,
         dims.inner,
         dims.cols,
@@ -332,37 +274,35 @@ fn main() {
         measure_row("bert-ffn-f32-m2", Precision::F32, 2, dims, iters),
     ];
     println!(
-        "{:<18} {:>4} {:>4} {:>12} {:>11} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8} {:>8} {:>12}",
+        "{:<18} {:>4} {:>4} {:>12} {:>10} {:>10} {:>11} {:>11} {:>11} {:>8} {:>9} {:>13}",
         "row",
         "sew",
         "lmul",
         "dyn instrs",
-        "legacy ms",
+        "decode ms",
+        "analyze ms",
+        "stepwise ms",
         "decoded ms",
         "verified ms",
-        "traced ms",
-        "sharded ms",
         "speedup",
-        "trace",
-        "coverage",
-        "traced Mi/s"
+        "verified",
+        "verified Mi/s"
     );
     for r in &rows {
         println!(
-            "{:<18} {:>4} {:>4} {:>12} {:>11.2} {:>11.2} {:>11.2} {:>11.2} {:>11.2} {:>7.2}x {:>7.2}x {:>7.1}% {:>12.1}",
+            "{:<18} {:>4} {:>4} {:>12} {:>10.1} {:>10.1} {:>11.2} {:>11.2} {:>11.2} {:>7.2}x {:>8.3}x {:>13.1}",
             r.label,
             format!("e{}", r.sew_bits),
             format!("m{}", r.lmul),
             r.instructions,
-            r.legacy_ns / 1e6,
+            r.decode_ms,
+            r.analyze_ms,
+            r.stepwise_ns / 1e6,
             r.decoded_ns / 1e6,
             r.verified_ns / 1e6,
-            r.traced_ns / 1e6,
-            r.sharded_ns / 1e6,
             r.speedup(),
-            r.trace_speedup(),
-            r.trace_coverage() * 100.0,
-            r.ips(r.traced_ns) / 1e6,
+            r.verified_gain(),
+            r.ips(r.verified_ns) / 1e6,
         );
     }
 
@@ -378,20 +318,17 @@ fn main() {
         ),
         ("warm_sweep", sweep),
     ]);
-    // Anchor at the workspace root regardless of the invocation cwd
-    // (cargo runs bench binaries from the package directory).
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    std::fs::write(path, serde_json::to_string_pretty(&json).expect("total"))
-        .expect("write BENCH_engine.json");
-    println!("\nwrote {path}");
+    let path = write_bench_output(
+        "BENCH_engine.json",
+        Profile::Full,
+        profile,
+        &serde_json::to_string_pretty(&json).expect("total"),
+    );
+    println!("\nwrote {}", path.display());
     println!(
-        "expected: the decoded engine runs the functional BERT-FFN kernel >= 2x faster than \
-         the stepwise loop (events never materialise under NullObserver, per-step re-decode \
-         and re-validation are gone, vector ops run on whole register-group slices); the \
-         verified path (analyzer-minted token, per-µop legality checks elided) is at least \
-         as fast again; the trace-compiled path (fused steady-state blocks executed as \
-         native batched lane loops) is >= 2x faster than the untraced verified path; the \
-         sharded counting engine pays the checkpoint/replay overhead back on multi-core \
-         hosts (single-core numbers are recorded as-is)"
+        "expected: the decoded engine's timed run is several times faster than the stepwise \
+         loop (per-step re-decode and re-validation are gone, vector ops run on whole \
+         register-group slices); `verified` is the decoded/verified time ratio, the gain \
+         of the check-elided path (a few percent at most: the timing model dominates)"
     );
 }

@@ -24,7 +24,7 @@
 use indexmac::experiment::ExperimentConfig;
 use indexmac::sweep::SweepGrid;
 use indexmac::Digest;
-use indexmac_bench::{banner, Profile};
+use indexmac_bench::{banner, write_bench_output, Profile};
 use indexmac_kernels::GemmDims;
 use indexmac_service::{ResultStore, SweepService};
 use indexmac_sparse::NmPattern;
@@ -255,10 +255,13 @@ fn main() {
         ),
         ("store_scan", scan),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    std::fs::write(path, serde_json::to_string_pretty(&json).expect("total"))
-        .expect("write BENCH_service.json");
-    println!("\nwrote {path}");
+    let path = write_bench_output(
+        "BENCH_service.json",
+        Profile::Default,
+        profile,
+        &serde_json::to_string_pretty(&json).expect("total"),
+    );
+    println!("\nwrote {}", path.display());
 
     // The acceptance bar for the whole service: a warm hit (the LRU
     // front is on by default, so this is what clients actually see)

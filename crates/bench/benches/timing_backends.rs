@@ -26,7 +26,7 @@ use indexmac::experiment::{
 use indexmac::kernels::GemmDims;
 use indexmac::sparse::NmPattern;
 use indexmac::vpu::TimingKind;
-use indexmac_bench::{banner, Profile};
+use indexmac_bench::{banner, write_bench_output, Profile};
 use serde::{Serialize, Value};
 use std::time::Instant;
 
@@ -186,10 +186,11 @@ fn main() {
         ),
         ("ooo_lead_no_smaller_than_inorder", widened.to_value()),
     ]);
-    // Anchor at the workspace root regardless of the invocation cwd
-    // (cargo runs bench binaries from the package directory).
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_timing.json");
-    std::fs::write(path, serde_json::to_string_pretty(&json).expect("total"))
-        .expect("write BENCH_timing.json");
-    println!("\nwrote {path}");
+    let path = write_bench_output(
+        "BENCH_timing.json",
+        Profile::Default,
+        profile,
+        &serde_json::to_string_pretty(&json).expect("total"),
+    );
+    println!("\nwrote {}", path.display());
 }

@@ -22,6 +22,7 @@ use indexmac::sparse::NmPattern;
 use indexmac::sweep::{run_cells, SweepCell};
 use indexmac_models::GemmCaps;
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 
 /// Simulation scale selected via `INDEXMAC_PROFILE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,6 +167,52 @@ impl CachedCompare {
     }
 }
 
+/// The workspace root (this crate lives at `crates/bench`).
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
+        .to_path_buf()
+}
+
+/// Where a bench writes its `file` when run at `profile` (see
+/// [`write_bench_output`]).
+fn bench_output_path(file: &str, committed_at: Profile, profile: Profile) -> PathBuf {
+    let root = workspace_root();
+    if profile == committed_at {
+        root.join(file)
+    } else {
+        root.join("target").join("bench-out").join(file)
+    }
+}
+
+/// Writes a bench's JSON report `file` (e.g. `BENCH_engine.json`) run
+/// at `profile` and returns the path written. Only the profile the
+/// committed file was produced at (`committed_at`) writes the repo-root
+/// copy; every other profile writes under `target/bench-out/`, so a
+/// smoke run never overwrites committed numbers. Paths are anchored at
+/// the workspace root, not the invocation directory (cargo runs bench
+/// binaries from the package directory).
+///
+/// # Panics
+///
+/// Panics when the file cannot be written (a bench has no caller to
+/// report the error to).
+pub fn write_bench_output(
+    file: &str,
+    committed_at: Profile,
+    profile: Profile,
+    json: &str,
+) -> PathBuf {
+    let path = bench_output_path(file, committed_at, profile);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    }
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    path
+}
+
 /// Prints the standard harness banner: what figure this regenerates and
 /// under which caps.
 pub fn banner(what: &str, cfg: &ExperimentConfig) {
@@ -181,6 +228,26 @@ pub fn banner(what: &str, cfg: &ExperimentConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_output_goes_to_the_repo_root_only_at_the_committed_profile() {
+        let root = workspace_root();
+        let out = root.join("target").join("bench-out");
+        for committed_at in [Profile::Smoke, Profile::Default, Profile::Full] {
+            for profile in [Profile::Smoke, Profile::Default, Profile::Full] {
+                let want = if profile == committed_at {
+                    root.join("BENCH_x.json")
+                } else {
+                    out.join("BENCH_x.json")
+                };
+                assert_eq!(
+                    bench_output_path("BENCH_x.json", committed_at, profile),
+                    want,
+                    "{profile:?} run of a file committed at {committed_at:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn profile_parsing_defaults() {

@@ -11,10 +11,9 @@
 //!    values, hash-map order or `DefaultHasher` seeds.
 //! 2. **Pinned inputs** — every field that changes simulated results
 //!    feeds the digest; fields that cannot (the `verify` cross-check
-//!    flag and the `shard_size` referee setting are observers, and
-//!    `params.dataflow` is overridden per cell by
-//!    [`crate::sweep::run_cell`]) are deliberately excluded so toggling
-//!    them still hits the cache. [`CONFIG_DIGEST_VERSION`] is hashed
+//!    flag is an observer, and `params.dataflow` is overridden per
+//!    cell by [`crate::sweep::run_cell`]) are deliberately excluded so
+//!    toggling them still hits the cache. [`CONFIG_DIGEST_VERSION`] is hashed
 //!    first; bump it whenever the encoding or the simulator's observable
 //!    behaviour changes, and the old store entries become misses instead
 //!    of stale hits. Golden digests in the unit tests pin the encoding
@@ -163,9 +162,9 @@ fn timing_tag(t: indexmac_vpu::TimingKind) -> u8 {
 /// comparison sides, precision (SEW), LMUL, tile rows, unroll, the
 /// instruction-limit guard, the GEMM caps, the full processor model
 /// (including the timing backend and memory hierarchy). Excludes
-/// `cfg.verify`, `cfg.shard_size` (pure cross-checks — they can fail a
-/// run but never change a returned result) and `cfg.params.dataflow`
-/// (overridden by the cell's own dataflow).
+/// `cfg.verify` (a pure cross-check — it can fail a run but never
+/// change a returned result) and `cfg.params.dataflow` (overridden by
+/// the cell's own dataflow).
 pub fn config_digest(cell: &SweepCell, cfg: &ExperimentConfig) -> Digest {
     let mut h = DigestHasher::new();
 
@@ -293,12 +292,11 @@ mod tests {
         let d = config_digest(&cell(), &cfg);
         let mut observed = cfg;
         observed.verify = false;
-        observed.shard_size = Some(1024);
         observed.params.dataflow = Dataflow::CStationary; // per-cell override wins
         assert_eq!(
             d,
             config_digest(&cell(), &observed),
-            "verify/shard_size/params.dataflow are observers, not inputs"
+            "verify/params.dataflow are observers, not inputs"
         );
     }
 

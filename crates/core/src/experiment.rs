@@ -99,13 +99,6 @@ pub struct ExperimentConfig {
     /// ([`Algorithm::IndexMac`] by default; set
     /// [`Algorithm::IndexMac2`] to reproduce the follow-up numbers).
     pub proposed: Algorithm,
-    /// When `Some(n)`, every timed kernel run is re-executed through the
-    /// sharded counting engine ([`Simulator::run_sharded`]) with shard
-    /// size `n` and refereed against the timed report: instruction
-    /// counts, per-class counts, program-issued traffic and the result
-    /// matrix must match bit-for-bit. `None` (the default) skips the
-    /// cross-check. Tunable from the CLI via `--shard-size`.
-    pub shard_size: Option<u64>,
 }
 
 impl ExperimentConfig {
@@ -123,7 +116,6 @@ impl ExperimentConfig {
             verify: true,
             baseline: Algorithm::RowWiseSpmm,
             proposed: Algorithm::IndexMac,
-            shard_size: None,
         }
     }
 
@@ -506,74 +498,6 @@ pub fn run_gemm(
                     &b,
                     verify::default_tolerance(layout.dims.inner),
                 )?;
-            }
-        }
-        if let Some(shard_size) = cfg.shard_size {
-            // Differential referee: replay the run through the sharded
-            // counting engine and demand bit-identical architectural
-            // results and event counts. Sequential metrics (cycles,
-            // stalls, hit rates, DRAM lines) are zero on the counting
-            // side and deliberately not compared.
-            let (sharded, _shards) = verify::run_decoded_kernel_sharded(
-                sim,
-                &kernel.program,
-                kernel.token,
-                &a,
-                &b,
-                &layout,
-                shard_size,
-            )?;
-            assert_eq!(
-                sharded.report.instructions, run.report.instructions,
-                "sharded replay retired a different instruction count"
-            );
-            assert_eq!(
-                sharded.report.counts, run.report.counts,
-                "sharded replay produced different per-class counts"
-            );
-            assert_eq!(
-                sharded.report.v2s_syncs, run.report.v2s_syncs,
-                "sharded replay produced different v2s sync counts"
-            );
-            for (name, got, want) in [
-                (
-                    "scalar_loads",
-                    sharded.report.mem.scalar_loads,
-                    run.report.mem.scalar_loads,
-                ),
-                (
-                    "scalar_stores",
-                    sharded.report.mem.scalar_stores,
-                    run.report.mem.scalar_stores,
-                ),
-                (
-                    "vector_loads",
-                    sharded.report.mem.vector_loads,
-                    run.report.mem.vector_loads,
-                ),
-                (
-                    "vector_stores",
-                    sharded.report.mem.vector_stores,
-                    run.report.mem.vector_stores,
-                ),
-            ] {
-                assert_eq!(got, want, "sharded replay diverged on {name}");
-            }
-            assert_eq!(
-                sharded.c.as_slice(),
-                run.c.as_slice(),
-                "sharded replay computed a different product"
-            );
-            assert_eq!(
-                sharded.c_int.is_some(),
-                run.c_int.is_some(),
-                "sharded replay disagreed on precision"
-            );
-            if let (Some(si), Some(ri)) = (&sharded.c_int, &run.c_int) {
-                assert!(
-                    si.first_mismatch(ri).is_none(),
-                    "sharded replay computed a different integer product"
-                );
             }
         }
         Ok::<_, ExperimentError>(run)
@@ -1307,35 +1231,5 @@ mod tests {
             .unwrap();
         assert_eq!(cache.stats.entries, 1, "in-flight entry must survive");
         assert_eq!(cache.entries.len(), 1);
-    }
-
-    #[test]
-    fn shard_size_cross_check_referees_the_timed_run() {
-        // `shard_size: Some(n)` reruns every kernel through the sharded
-        // counting engine and panics on any divergence from the timed
-        // run; passing here means the referee agreed. The returned
-        // (timed) report must be byte-identical to an uncross-checked
-        // run.
-        let dims = GemmDims {
-            rows: 8,
-            inner: 64,
-            cols: 32,
-        };
-        let base = run_gemm(dims, NmPattern::P1_4, Algorithm::IndexMac2, &cfg()).unwrap();
-        for shard_size in [500u64, 100_000] {
-            let sharded_cfg = ExperimentConfig {
-                shard_size: Some(shard_size),
-                ..cfg()
-            };
-            let r = run_gemm(dims, NmPattern::P1_4, Algorithm::IndexMac2, &sharded_cfg).unwrap();
-            assert_eq!(r.report, base.report, "shard size {shard_size}");
-        }
-        // The quantized (check-elided, i32) datapath referees too.
-        let q = ExperimentConfig {
-            shard_size: Some(999),
-            caps: indexmac_models::GemmCaps::smoke(),
-            ..ExperimentConfig::quantized(Precision::I8)
-        };
-        run_gemm(dims, NmPattern::P1_4, Algorithm::IndexMac2, &q).unwrap();
     }
 }

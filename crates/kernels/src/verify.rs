@@ -179,35 +179,6 @@ pub fn run_decoded_kernel_verified(
     Ok(read_back(sim, layout, report, program.len()))
 }
 
-/// [`run_decoded_kernel`] through the **sharded counting engine**
-/// ([`Simulator::run_sharded`]): the run is split at instruction-count
-/// checkpoints, each shard is replayed in parallel under a counting
-/// observer, and the merged report carries instruction counts and
-/// program-issued traffic (sequential metrics — cycles, stalls, hit
-/// rates — are zero; see `indexmac_vpu::CountingObserver`). With
-/// `token` the shards execute check-elided; without it, fully checked.
-/// Returns the run together with the number of shards executed.
-///
-/// # Errors
-///
-/// Returns [`VerifyError::ShapeMismatch`] on inconsistent operands and
-/// [`VerifyError::Sim`] on simulator faults — the same error, at the
-/// same point in the instruction stream, the unsharded run would hit.
-pub fn run_decoded_kernel_sharded(
-    sim: &mut Simulator,
-    program: &DecodedProgram,
-    token: Option<Verified>,
-    a: &StructuredSparseMatrix,
-    b: &DenseMatrix,
-    layout: &GemmLayout,
-    shard_size: u64,
-) -> Result<(KernelRun, usize), VerifyError> {
-    place_operands(sim, a, b, layout)?;
-    let sharded = sim.run_sharded(program, token, shard_size)?;
-    let run = read_back(sim, layout, sharded.report, program.len());
-    Ok((run, sharded.shards))
-}
-
 /// Statically analyzes a decoded kernel against its layout's memory
 /// contract at the configuration's VLEN. `.verified()` on the result
 /// yields the [`Verified`] token the fast path consumes; a shipped
@@ -827,52 +798,6 @@ mod tests {
             assert_eq!(fast.report, checked.report, "{name}: reports must match");
             assert_eq!(fast.c.as_slice(), checked.c.as_slice(), "{name}");
         }
-    }
-
-    #[test]
-    fn sharded_kernel_run_matches_the_timed_run() {
-        // The sharded counting engine must reproduce the timed run's
-        // architectural results and event counts at any shard size,
-        // with and without the check-elision token.
-        let (a, b, layout) = fixture(6, 32, 20, NmPattern::P1_4, 91);
-        let p = indexmac2::build(&layout, &KernelParams::default()).unwrap();
-        let decoded = DecodedProgram::decode(&p);
-        let token = analyze_kernel(&decoded, &layout, &cfg())
-            .verified()
-            .expect("shipped kernel analyzes clean");
-        let mut sim = Simulator::new(cfg());
-        let timed =
-            run_decoded_kernel_verified(&mut sim, &decoded, token, &a, &b, &layout).unwrap();
-        for shard_size in [7u64, 1000, u64::MAX] {
-            let (sharded, shards) = run_decoded_kernel_sharded(
-                &mut sim,
-                &decoded,
-                Some(token),
-                &a,
-                &b,
-                &layout,
-                shard_size,
-            )
-            .unwrap();
-            assert_eq!(
-                sharded.report.instructions, timed.report.instructions,
-                "shard size {shard_size}"
-            );
-            assert_eq!(sharded.report.counts, timed.report.counts);
-            assert_eq!(sharded.report.v2s_syncs, timed.report.v2s_syncs);
-            assert_eq!(sharded.report.cycles, 0, "counting engine has no clock");
-            assert_eq!(sharded.c.as_slice(), timed.c.as_slice());
-            if shard_size == u64::MAX {
-                assert_eq!(shards, 1, "one shard covers the whole run");
-            } else {
-                assert!(shards >= 1);
-            }
-        }
-        // The fully checked (tokenless) sharded path agrees too.
-        let (checked, _) =
-            run_decoded_kernel_sharded(&mut sim, &decoded, None, &a, &b, &layout, 777).unwrap();
-        assert_eq!(checked.c.as_slice(), timed.c.as_slice());
-        assert_eq!(checked.report.instructions, timed.report.instructions);
     }
 
     #[test]

@@ -38,5 +38,5 @@ pub mod stats;
 pub use cache::{AccessKind, Cache, CacheConfig};
 pub use dram::{DramConfig, DramModel};
 pub use hierarchy::{HierarchyConfig, MemoryHierarchy};
-pub use memory::{MainMemory, PageDelta, PAGE_BYTES};
+pub use memory::MainMemory;
 pub use stats::MemStats;

@@ -1,25 +1,18 @@
 //! Sparse, page-based main-memory backing store (functional state).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
-/// Backing-store page granularity in bytes. Consumers planning
-/// prefetches key off this: within a page accesses are contiguous in
-/// one allocation (the hardware stream prefetcher covers them), while
-/// crossing into a new page costs a fresh page-map lookup.
-pub const PAGE_BYTES: u64 = PAGE_SIZE as u64;
-
 /// Multiply-rotate hasher for page indices. The page table is probed
 /// once per vector load/store on the decoded engine's hot path, and the
 /// default SipHash costs more than the 128-byte copy it guards; page
 /// indices are small sequential integers, for which one odd-constant
 /// multiply (Fibonacci hashing) mixes the low bits into the table index
-/// perfectly well. Deterministic across runs, unlike `RandomState` —
-/// which sharded replay relies on anyway for its report merges.
+/// perfectly well. Deterministic across runs, unlike `RandomState`.
 #[derive(Default)]
 pub struct PageIndexHasher(u64);
 
@@ -46,35 +39,6 @@ impl Hasher for PageIndexHasher {
 
 type PageHash = BuildHasherDefault<PageIndexHasher>;
 
-/// A snapshot of whole-page contents, captured at a checkpoint so a
-/// later consumer can reconstruct memory-as-of-that-moment by applying
-/// deltas in order onto a base image ([`MainMemory::capture_pages`] /
-/// [`MainMemory::apply_delta`]). Pages that were not resident when
-/// captured are stored as all-zero pages, so applying a delta always
-/// reproduces the captured bytes exactly — including the case where a
-/// page was written and later reads must *not* see newer contents.
-#[derive(Debug, Default, Clone)]
-pub struct PageDelta {
-    pages: Vec<(u64, Box<[u8; PAGE_SIZE]>)>,
-}
-
-impl PageDelta {
-    /// Number of pages captured in this delta.
-    pub fn len(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// True when no pages were captured.
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
-    }
-
-    /// Snapshot footprint in bytes.
-    pub fn bytes(&self) -> usize {
-        self.pages.len() * PAGE_SIZE
-    }
-}
-
 /// Byte-addressable simulated memory, allocated lazily in 4 KiB pages.
 ///
 /// Unwritten bytes read as zero, like freshly-mapped anonymous memory.
@@ -93,73 +57,12 @@ impl PageDelta {
 #[derive(Debug, Default, Clone)]
 pub struct MainMemory {
     pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, PageHash>,
-    /// When `Some`, every page index mutated by a write accumulates
-    /// here (checkpoint support for sharded execution). `None` keeps
-    /// the common non-tracking write path branch-cheap.
-    touched: Option<HashSet<u64, PageHash>>,
 }
 
 impl MainMemory {
     /// Creates an empty memory.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    #[inline]
-    fn touch(&mut self, page: u64) {
-        if let Some(t) = self.touched.as_mut() {
-            t.insert(page);
-        }
-    }
-
-    /// Starts recording which pages are mutated by writes. Clears any
-    /// previously accumulated set.
-    pub fn start_touch_tracking(&mut self) {
-        self.touched = Some(HashSet::default());
-    }
-
-    /// Stops recording touched pages and drops the accumulated set.
-    pub fn stop_touch_tracking(&mut self) {
-        self.touched = None;
-    }
-
-    /// Drains the set of pages written since tracking started (or since
-    /// the last take), returned sorted for determinism. Tracking stays
-    /// enabled. Returns an empty list when tracking is off.
-    pub fn take_touched_pages(&mut self) -> Vec<u64> {
-        let mut v: Vec<u64> = match self.touched.as_mut() {
-            Some(t) => t.drain().collect(),
-            None => Vec::new(),
-        };
-        v.sort_unstable();
-        v
-    }
-
-    /// Captures the current contents of the given pages into a
-    /// [`PageDelta`]. Non-resident pages are captured as zero pages, so
-    /// the delta always reproduces today's observable bytes when later
-    /// applied over a different base image.
-    pub fn capture_pages(&self, pages: &[u64]) -> PageDelta {
-        PageDelta {
-            pages: pages
-                .iter()
-                .map(|&idx| {
-                    let content = match self.pages.get(&idx) {
-                        Some(p) => p.clone(),
-                        None => Box::new([0u8; PAGE_SIZE]),
-                    };
-                    (idx, content)
-                })
-                .collect(),
-        }
-    }
-
-    /// Overwrites whole pages with the captured contents of `delta`.
-    pub fn apply_delta(&mut self, delta: &PageDelta) {
-        for (idx, content) in &delta.pages {
-            self.pages.insert(*idx, content.clone());
-            self.touch(*idx);
-        }
     }
 
     /// Number of 4 KiB pages that have been touched by writes.
@@ -182,7 +85,6 @@ impl MainMemory {
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        self.touch(addr >> PAGE_SHIFT);
         let page = self
             .pages
             .entry(addr >> PAGE_SHIFT)
@@ -210,7 +112,6 @@ impl MainMemory {
     fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         let off = (addr & PAGE_MASK) as usize;
         if off + bytes.len() <= PAGE_SIZE {
-            self.touch(addr >> PAGE_SHIFT);
             let page = self
                 .pages
                 .entry(addr >> PAGE_SHIFT)
@@ -230,9 +131,6 @@ impl MainMemory {
     /// per experiment cell).
     pub fn clear(&mut self) {
         self.pages.clear();
-        if let Some(t) = self.touched.as_mut() {
-            t.clear();
-        }
     }
 
     /// Bulk-reads `out.len()` bytes starting at `addr`, page-chunked:
@@ -256,38 +154,6 @@ impl MainMemory {
         }
     }
 
-    /// Hints the CPU to pull the cache lines backing `addr` (up to two:
-    /// a whole-register vector access spans 128 bytes) closer to the
-    /// core. Purely a performance hint — no architectural effect, no
-    /// page allocation, silently nothing for non-resident pages or on
-    /// targets without a prefetch instruction. The trace-compiled
-    /// engine calls this for loads/stores whose addresses it proved
-    /// constant at trace-build time, running a few ops ahead of
-    /// execution so streaming accesses don't stall on DRAM.
-    #[inline]
-    pub fn prefetch(&self, addr: u64) {
-        let Some(page) = self.pages.get(&(addr >> PAGE_SHIFT)) else {
-            return;
-        };
-        let off = (addr & PAGE_MASK) as usize;
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `off < PAGE_SIZE` by construction of the mask, and
-        // `off + 64` is bounds-checked below, so both pointers lie
-        // inside the page's 4 KiB allocation; `_mm_prefetch` is a pure
-        // hint with no memory or register effects.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(page.as_ptr().cast::<i8>().add(off), _MM_HINT_T0);
-            if off + 64 < PAGE_SIZE {
-                _mm_prefetch(page.as_ptr().cast::<i8>().add(off + 64), _MM_HINT_T0);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (page, off);
-        }
-    }
-
     /// Bulk-writes `data` starting at `addr`, page-chunked (the store
     /// counterpart of [`MainMemory::read_slice`]).
     pub fn write_slice(&mut self, addr: u64, data: &[u8]) {
@@ -296,7 +162,6 @@ impl MainMemory {
             let a = addr.wrapping_add(done as u64);
             let off = (a & PAGE_MASK) as usize;
             let n = (PAGE_SIZE - off).min(data.len() - done);
-            self.touch(a >> PAGE_SHIFT);
             let page = self
                 .pages
                 .entry(a >> PAGE_SHIFT)
@@ -525,56 +390,5 @@ mod tests {
                 assert_eq!(bulk.read_u8(a), bytewise.read_u8(a), "k={k} byte {i}");
             }
         }
-    }
-
-    #[test]
-    fn touch_tracking_records_written_pages_sorted() {
-        let mut m = MainMemory::new();
-        m.write_u32(0x1000, 7); // before tracking: not recorded
-        m.start_touch_tracking();
-        m.write_u8(0x5001, 1);
-        m.write_u32(0x2FFE, 0xAABB_CCDD); // straddles pages 2 and 3
-        m.write_slice(0x8FF0, &[9u8; 0x30]); // straddles pages 8 and 9
-        let touched = m.take_touched_pages();
-        assert_eq!(touched, vec![2, 3, 5, 8, 9]);
-        // Drained: a second take without new writes is empty.
-        assert!(m.take_touched_pages().is_empty());
-        m.write_u8(0x7000, 1);
-        assert_eq!(m.take_touched_pages(), vec![7]);
-        m.stop_touch_tracking();
-        m.write_u8(0x9000, 1);
-        assert!(m.take_touched_pages().is_empty());
-    }
-
-    #[test]
-    fn capture_and_apply_delta_roundtrip() {
-        let mut m = MainMemory::new();
-        m.write_u32(0x1000, 0x1111_1111);
-        m.write_u32(0x2000, 0x2222_2222);
-        // Capture page 1 (resident) and page 5 (never written → zeros).
-        let delta = m.capture_pages(&[1, 5]);
-        assert_eq!(delta.len(), 2);
-        assert_eq!(delta.bytes(), 2 * 4096);
-        // Mutate after the capture; applying must restore the snapshot.
-        m.write_u32(0x1000, 0xDEAD_BEEF);
-        m.write_u32(0x5000, 0x5555_5555);
-        let mut fresh = MainMemory::new();
-        fresh.write_u32(0x5008, 0x7777_7777); // stale byte the delta must clobber
-        fresh.apply_delta(&delta);
-        assert_eq!(fresh.read_u32(0x1000), 0x1111_1111);
-        assert_eq!(fresh.read_u32(0x5000), 0);
-        assert_eq!(fresh.read_u32(0x5008), 0); // zero page overwrote stale data
-        assert_eq!(fresh.read_u32(0x2000), 0); // page 2 was not captured
-    }
-
-    #[test]
-    fn apply_delta_marks_pages_touched() {
-        let mut src = MainMemory::new();
-        src.write_u8(0x3000, 9);
-        let delta = src.capture_pages(&[3]);
-        let mut dst = MainMemory::new();
-        dst.start_touch_tracking();
-        dst.apply_delta(&delta);
-        assert_eq!(dst.take_touched_pages(), vec![3]);
     }
 }

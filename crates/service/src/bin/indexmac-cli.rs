@@ -49,7 +49,6 @@ enum Command {
         sew: Precision,
         seed: Option<u64>,
         max_instructions: Option<u64>,
-        shard_size: Option<u64>,
         timing: TimingKind,
     },
     /// Run the comparison on a named model layer (CNN conv or
@@ -70,7 +69,6 @@ enum Command {
         caps: GemmCaps,
         seed: Option<u64>,
         max_instructions: Option<u64>,
-        shard_size: Option<u64>,
         timing: TimingKind,
     },
     /// List the GEMM layers of a model.
@@ -109,8 +107,6 @@ enum Command {
         sew: Precision,
         /// Override of the runaway-program guard.
         max_instructions: Option<u64>,
-        /// Shard size for the sharded-execution cross-check.
-        shard_size: Option<u64>,
         /// Timing backend every cell runs under.
         timing: TimingKind,
         /// Persistent result store to consult/extend (incremental
@@ -336,27 +332,6 @@ fn parse_max_instructions(
     }
 }
 
-/// Parses the optional `--shard-size` flag shared by `gemm`, `model`
-/// and `sweep`: every timed kernel run is additionally replayed through
-/// the sharded counting engine and refereed bit-for-bit against the
-/// timed result (absent = no cross-check).
-fn parse_shard_size(
-    opts: &std::collections::HashMap<String, String>,
-) -> Result<Option<u64>, String> {
-    match opts.get("shard-size") {
-        Some(s) => {
-            let n: u64 = s
-                .parse()
-                .map_err(|_| "--shard-size must be an integer".to_string())?;
-            if n == 0 {
-                return Err("--shard-size must be positive".to_string());
-            }
-            Ok(Some(n))
-        }
-        None => Ok(None),
-    }
-}
-
 /// Parses the optional `--timing` backend selector shared by `gemm`,
 /// `model` and `sweep` (defaults to the paper's in-order scoreboard).
 fn parse_timing(opts: &std::collections::HashMap<String, String>) -> Result<TimingKind, String> {
@@ -366,21 +341,13 @@ fn parse_timing(opts: &std::collections::HashMap<String, String>) -> Result<Timi
     }
 }
 
-/// Applies the optional seed/guard/shard overrides to a campaign config.
-fn apply_overrides(
-    cfg: &mut ExperimentConfig,
-    seed: Option<u64>,
-    max_instructions: Option<u64>,
-    shard_size: Option<u64>,
-) {
+/// Applies the optional seed/guard overrides to a campaign config.
+fn apply_overrides(cfg: &mut ExperimentConfig, seed: Option<u64>, max_instructions: Option<u64>) {
     if let Some(seed) = seed {
         cfg.seed = seed;
     }
     if let Some(limit) = max_instructions {
         cfg.max_instructions = limit;
-    }
-    if shard_size.is_some() {
-        cfg.shard_size = shard_size;
     }
 }
 
@@ -459,7 +426,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
                 sew,
                 seed: parse_seed(&opts)?,
                 max_instructions: parse_max_instructions(&opts)?,
-                shard_size: parse_shard_size(&opts)?,
                 timing: parse_timing(&opts)?,
             })
         }
@@ -495,7 +461,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
             },
             seed: parse_seed(&opts)?,
             max_instructions: parse_max_instructions(&opts)?,
-            shard_size: parse_shard_size(&opts)?,
             timing: parse_timing(&opts)?,
         }),
         "list" => Ok(Command::List {
@@ -590,7 +555,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
                 lmul,
                 sew,
                 max_instructions: parse_max_instructions(&opts)?,
-                shard_size: parse_shard_size(&opts)?,
                 timing: parse_timing(&opts)?,
                 store_dir: get("store-dir"),
             })
@@ -656,12 +620,12 @@ fn parse_campaign(
 
 const USAGE: &str = "usage:
   indexmac-cli config
-  indexmac-cli gemm --rows R --inner K --cols N [--pattern N:M] [--algorithm dense|rowwise|indexmac|indexmac2|scalar] [--unroll U] [--tile-rows L] [--lmul 1|2|4] [--sew 8|16|32] [--timing inorder|pipelined|ooo] [--seed S] [--max-instructions I] [--shard-size N]
+  indexmac-cli gemm --rows R --inner K --cols N [--pattern N:M] [--algorithm dense|rowwise|indexmac|indexmac2|scalar] [--unroll U] [--tile-rows L] [--lmul 1|2|4] [--sew 8|16|32] [--timing inorder|pipelined|ooo] [--seed S] [--max-instructions I]
   indexmac-cli layer --model M --name NAME [--pattern N:M] [--seed S]
-  indexmac-cli model --preset M [--pattern N:M] [--seq-len T] [--sew 8|16|32] [--caps smoke|eval|full] [--timing inorder|pipelined|ooo] [--seed S] [--max-instructions I] [--shard-size N]
+  indexmac-cli model --preset M [--pattern N:M] [--seq-len T] [--sew 8|16|32] [--caps smoke|eval|full] [--timing inorder|pipelined|ooo] [--seed S] [--max-instructions I]
   indexmac-cli list --model M
   indexmac-cli lint [--algorithm A|all] [--dims RxKxN] [--patterns N:M[,N:M...]] [--sew 8|16|32] [--lmul 1|2|4] [--unroll U] [--tile-rows L] [--format table|json|json-pretty]
-  indexmac-cli sweep --dims RxKxN[,RxKxN...] [--patterns N:M[,N:M...]] [--dataflows a|b|c|all] [--algorithm A] [--baseline A] [--lmul 1|2|4] [--sew 8|16|32] [--timing inorder|pipelined|ooo] [--seed S] [--threads T] [--format table|json|json-pretty] [--max-instructions I] [--shard-size N] [--store-dir DIR]
+  indexmac-cli sweep --dims RxKxN[,RxKxN...] [--patterns N:M[,N:M...]] [--dataflows a|b|c|all] [--algorithm A] [--baseline A] [--lmul 1|2|4] [--sew 8|16|32] [--timing inorder|pipelined|ooo] [--seed S] [--threads T] [--format table|json|json-pretty] [--max-instructions I] [--store-dir DIR]
   indexmac-cli serve --store-dir DIR [--addr HOST:PORT] [--threads T] [--algorithm A] [--baseline A] [--lmul 1|2|4] [--sew 8|16|32] [--timing inorder|pipelined|ooo] [--max-instructions I]
 
 models: resnet50 | densenet121 | inceptionv3 | bert-base | gpt2-small | vit-b16, each also as <model>-int8 (e8 datapath)
@@ -669,7 +633,6 @@ transformer presets decompose into attention/FFN weight GEMMs; --seq-len rescale
 --sew 8|16 runs the quantized widening datapath (indexmac/indexmac2 only, bit-exact verification)
 --timing selects the scalar-core timing backend: the paper's in-order scoreboard (default), an explicit 5-stage pipeline, or an out-of-order core (ROB/RS/RAT/LSQ); instret is backend-invariant
 --max-instructions tunes the per-simulation runaway guard (default 2e9)
---shard-size N replays every timed run through the sharded counting engine in N-instruction shards and referees the results bit-for-bit (off by default)
 lint statically analyzes kernel builds without simulating (exit 1 on any diagnostic); unspecified lint axes sweep every shipped configuration
 --store-dir DIR keeps a persistent content-addressed result store: sweep serves known cells from it and simulates only the rest; serve exposes it over HTTP (GET /healthz | GET /stats | GET /cell/<digest> | POST /sweep | POST /shutdown), binds --addr (port 0 = ephemeral, printed on stdout) and drains gracefully on POST /shutdown";
 
@@ -851,7 +814,6 @@ fn run(cmd: Command) -> Result<(), String> {
             sew,
             seed,
             max_instructions,
-            shard_size,
             timing,
         } => {
             // Quantized comparisons default to the two vindexmac
@@ -871,7 +833,7 @@ fn run(cmd: Command) -> Result<(), String> {
                 ..base
             }
             .with_timing(timing);
-            apply_overrides(&mut cfg, seed, max_instructions, shard_size);
+            apply_overrides(&mut cfg, seed, max_instructions);
             println!(
                 "GEMM {}x{}x{}, A pruned to {pattern}, {} elements, {timing} timing (simulated {:?})\n",
                 dims.rows,
@@ -925,7 +887,6 @@ fn run(cmd: Command) -> Result<(), String> {
             caps,
             seed,
             max_instructions,
-            shard_size,
             timing,
         } => {
             let mut m = preset_by_name(&preset, seq_len)?;
@@ -947,7 +908,7 @@ fn run(cmd: Command) -> Result<(), String> {
                 ..config_for_family(m.family)
             }
             .with_timing(timing);
-            apply_overrides(&mut cfg, seed, max_instructions, shard_size);
+            apply_overrides(&mut cfg, seed, max_instructions);
             indexmac::experiment::reset_decode_cache();
             println!(
                 "{}: {} {} layers ({} distinct GEMM shapes), {:.2} GMACs, {} elements, A pruned to {pattern}",
@@ -1094,7 +1055,6 @@ fn run(cmd: Command) -> Result<(), String> {
             lmul,
             sew,
             max_instructions,
-            shard_size,
             timing,
             store_dir,
         } => {
@@ -1106,7 +1066,7 @@ fn run(cmd: Command) -> Result<(), String> {
                 ..ExperimentConfig::paper()
             }
             .with_timing(timing);
-            apply_overrides(&mut cfg, None, max_instructions, shard_size);
+            apply_overrides(&mut cfg, None, max_instructions);
             let mut grid = SweepGrid::new(patterns, dims).with_dataflows(dataflows);
             if let Some(seed) = seed {
                 grid = grid.with_base_seed(seed);
@@ -1217,7 +1177,7 @@ fn run(cmd: Command) -> Result<(), String> {
                 ..ExperimentConfig::paper()
             }
             .with_timing(timing);
-            apply_overrides(&mut cfg, None, max_instructions, None);
+            apply_overrides(&mut cfg, None, max_instructions);
             let store = ResultStore::open(&store_dir).map_err(|e| e.to_string())?;
             let threads = if threads == 0 {
                 std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
@@ -1376,7 +1336,6 @@ mod tests {
                 sew: Precision::F32,
                 seed: None,
                 max_instructions: None,
-                shard_size: None,
                 timing: TimingKind::InOrder,
             }
         );
@@ -1493,67 +1452,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_shard_size_flag() {
-        // Accepted on gemm/model/sweep; 0 and non-integers rejected;
-        // absent means no cross-check.
-        let c = parse(&argv(
-            "gemm --rows 8 --inner 32 --cols 16 --shard-size 4096",
-        ))
-        .unwrap();
-        match c {
-            Command::Gemm { shard_size, .. } => assert_eq!(shard_size, Some(4096)),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        let c = parse(&argv("model --preset bert-base --shard-size 100000")).unwrap();
-        match c {
-            Command::Model { shard_size, .. } => assert_eq!(shard_size, Some(100_000)),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        let c = parse(&argv("sweep --dims 8x32x16 --shard-size 512")).unwrap();
-        match c {
-            Command::Sweep { shard_size, .. } => assert_eq!(shard_size, Some(512)),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        let c = parse(&argv("gemm --rows 8 --inner 32 --cols 16")).unwrap();
-        match c {
-            Command::Gemm { shard_size, .. } => assert_eq!(shard_size, None),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        assert!(
-            parse(&argv("gemm --rows 8 --inner 32 --cols 16 --shard-size 0"))
-                .unwrap_err()
-                .contains("positive")
-        );
-        assert!(parse(&argv("sweep --dims 8x32x16 --shard-size many"))
-            .unwrap_err()
-            .contains("integer"));
-    }
-
-    #[test]
-    fn sharded_cross_check_runs_through_the_cli() {
-        // A gemm run with --shard-size exercises the referee end to
-        // end; success means sharded and timed execution agreed.
-        run(Command::Gemm {
-            dims: GemmDims {
-                rows: 4,
-                inner: 16,
-                cols: 8,
-            },
-            pattern: NmPattern::P1_4,
-            algorithm: Some(Algorithm::IndexMac2),
-            unroll: 2,
-            tile_rows: 16,
-            lmul: 1,
-            sew: Precision::F32,
-            seed: None,
-            max_instructions: None,
-            shard_size: Some(257),
-            timing: TimingKind::InOrder,
-        })
-        .unwrap();
-    }
-
-    #[test]
     fn tight_max_instructions_fails_the_run() {
         let err = run(Command::Gemm {
             dims: GemmDims {
@@ -1569,7 +1467,6 @@ mod tests {
             sew: Precision::F32,
             seed: None,
             max_instructions: Some(5),
-            shard_size: None,
             timing: TimingKind::InOrder,
         })
         .unwrap_err();
@@ -1653,7 +1550,6 @@ mod tests {
                 caps: GemmCaps::smoke(),
                 seed: Some(9),
                 max_instructions: None,
-                shard_size: None,
                 timing: TimingKind::InOrder,
             }
         );
@@ -1668,7 +1564,6 @@ mod tests {
                 caps: GemmCaps::default_eval(),
                 seed: None,
                 max_instructions: None,
-                shard_size: None,
                 timing: TimingKind::InOrder,
             }
         );
@@ -1695,7 +1590,6 @@ mod tests {
             caps: GemmCaps::smoke(),
             seed: None,
             max_instructions: None,
-            shard_size: None,
             timing: TimingKind::InOrder,
         })
         .unwrap();
@@ -1708,7 +1602,6 @@ mod tests {
             caps: GemmCaps::smoke(),
             seed: Some(3),
             max_instructions: None,
-            shard_size: None,
             timing: TimingKind::InOrder,
         })
         .unwrap();
@@ -1720,7 +1613,6 @@ mod tests {
             caps: GemmCaps::smoke(),
             seed: None,
             max_instructions: None,
-            shard_size: None,
             timing: TimingKind::InOrder,
         })
         .unwrap();
@@ -1769,7 +1661,6 @@ mod tests {
                 dataflows: vec![Dataflow::BStationary],
                 seed: None,
                 max_instructions: None,
-                shard_size: None,
                 threads: None,
                 format: OutputFormat::Table,
                 algorithm: Algorithm::IndexMac,
@@ -1803,7 +1694,6 @@ mod tests {
                 dataflows: Dataflow::ALL.to_vec(),
                 seed: Some(7),
                 max_instructions: None,
-                shard_size: None,
                 threads: Some(2),
                 format: OutputFormat::Json,
                 algorithm: Algorithm::IndexMac,
@@ -1913,7 +1803,6 @@ mod tests {
                 dataflows: vec![Dataflow::BStationary],
                 seed: Some(3),
                 max_instructions: None,
-                shard_size: None,
                 threads: Some(2),
                 format,
                 algorithm: Algorithm::IndexMac,
@@ -1939,7 +1828,6 @@ mod tests {
             dataflows: vec![Dataflow::BStationary],
             seed: Some(3),
             max_instructions: None,
-            shard_size: None,
             threads: Some(2),
             format: OutputFormat::Table,
             algorithm: Algorithm::IndexMac2,
@@ -2019,7 +1907,6 @@ mod tests {
             dataflows: vec![Dataflow::BStationary],
             seed: Some(3),
             max_instructions: None,
-            shard_size: None,
             threads: Some(2),
             format: OutputFormat::Json,
             algorithm: Algorithm::IndexMac,
@@ -2053,7 +1940,6 @@ mod tests {
             sew: Precision::F32,
             seed: None,
             max_instructions: None,
-            shard_size: None,
             timing: TimingKind::InOrder,
         })
         .unwrap();
@@ -2071,7 +1957,6 @@ mod tests {
             sew: Precision::F32,
             seed: None,
             max_instructions: None,
-            shard_size: None,
             timing: TimingKind::InOrder,
         })
         .unwrap();
@@ -2090,7 +1975,6 @@ mod tests {
             sew: Precision::I8,
             seed: Some(5),
             max_instructions: None,
-            shard_size: None,
             timing: TimingKind::InOrder,
         })
         .unwrap();
@@ -2138,7 +2022,6 @@ mod tests {
                 sew: Precision::F32,
                 seed: None,
                 max_instructions: None,
-                shard_size: None,
                 timing: kind,
             })
             .unwrap();

@@ -83,18 +83,6 @@ impl<F: FnMut(&ExecEvent)> Observer for F {
     }
 }
 
-/// Why a bounded range execution (the sharded executor's primitive)
-/// stopped without a fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RangeExit {
-    /// The program executed `ebreak`.
-    Halted,
-    /// The instruction budget ran out with the program still running —
-    /// an error for a whole-program run, a checkpoint boundary for the
-    /// sharded executor.
-    Budget,
-}
-
 /// Per-SEW constants used by the vector µops, precomputed once instead
 /// of re-derived per dynamic instruction: element bytes, the modular
 /// lane mask, and the widening accumulator factor (`32 / SEW`).
@@ -296,610 +284,6 @@ enum Uop {
     Step,
 }
 
-/// Fewest repeated blocks worth replacing with a fused lane loop. Two
-/// is enough: even the shortest legal run (one accumulator, two slots)
-/// saves four µop dispatches plus the per-µop source-group copies, and
-/// the second-generation kernels emit exactly two slots per block at
-/// LMUL=2 (the 1:4 metadata packs two indices per grouped lane).
-const MIN_FUSE_REPS: usize = 2;
-
-/// Most `vindexmac.vvi` µops per block the matcher will fuse (the
-/// kernels emit one per accumulator tile, far below this).
-const MAX_FUSE_U: usize = 32;
-
-/// One trace-compiled run: `reps` consecutive copies of the IndexMAC
-/// steady-state block — `u` `vindexmac.vvi` µops (same destination /
-/// multiplier / metadata registers per position across blocks, only the
-/// metadata `slot` varies), a counter bump (`addi rd, rd, imm`) and a
-/// loop-shaped `bne` whose target is the next slot either way (the
-/// kernels are fully unrolled, so the "loop" branch always falls
-/// through). Such a run has no memory traffic and no observable control
-/// flow, which is what lets [`DecodedProgram::try_fused`] replace
-/// `reps * (u + 2)` µop dispatches with `u` batched lane loops.
-#[derive(Debug, Clone)]
-struct FusedRun {
-    start: usize,
-    /// `vindexmac.vvi` µops per block.
-    u: usize,
-    /// Number of consecutive identical blocks.
-    reps: usize,
-    /// Per-position `(vd, vs2, vs1)`, identical across blocks.
-    ops: Box<[(VReg, VReg, VReg)]>,
-    /// All `reps * u` slot immediates in program order, extracted at
-    /// decode so the executor never re-fetches the µop stream.
-    slots: Box<[u8]>,
-    /// The counter register of the per-block `addi rd, rd, imm`.
-    ctr: XReg,
-    /// The per-block counter increment.
-    ctr_imm: u64,
-}
-
-impl FusedRun {
-    fn block_len(&self) -> usize {
-        self.u + 2
-    }
-
-    fn len(&self) -> usize {
-        self.reps * self.block_len()
-    }
-}
-
-/// Matches one candidate block at `at`: returns `(u, ctr, imm, bne_rs1,
-/// bne_rs2)` when `uops[at..]` starts with `u >= 1` `vindexmac.vvi`
-/// µops, an `addi rd, rd, imm`, and a `bne` targeting its own next slot.
-fn match_block(uops: &[Uop], at: usize) -> Option<(usize, XReg, u64, XReg, XReg)> {
-    let mut u = 0;
-    while u < MAX_FUSE_U && matches!(uops.get(at + u), Some(Uop::VindexmacVvi { .. })) {
-        u += 1;
-    }
-    if u == 0 {
-        return None;
-    }
-    let Some(&Uop::Addi { rd, rs1, imm }) = uops.get(at + u) else {
-        return None;
-    };
-    if rd != rs1 {
-        return None;
-    }
-    let bne_pc = at + u + 1;
-    let Some(&Uop::Bne {
-        rs1: b1,
-        rs2: b2,
-        target,
-    }) = uops.get(bne_pc)
-    else {
-        return None;
-    };
-    if target != (bne_pc + 1) as i64 {
-        return None;
-    }
-    Some((u, rd, imm, b1, b2))
-}
-
-/// Decode-time trace compiler: scans the µop stream for runs of
-/// [`MIN_FUSE_REPS`]+ identical steady-state blocks and records them,
-/// plus a per-slot entry table (`0` = no run starts here, else run
-/// index + 1) so the execution loop pays one array load per fetch.
-fn find_fused_runs(uops: &[Uop]) -> (Box<[FusedRun]>, Box<[u32]>) {
-    let mut runs: Vec<FusedRun> = Vec::new();
-    let mut at_table = vec![0u32; uops.len()];
-    let mut pc = 0;
-    while pc < uops.len() {
-        let Some((u, ctr, ctr_imm, b1, b2)) = match_block(uops, pc) else {
-            pc += 1;
-            continue;
-        };
-        let ops: Box<[(VReg, VReg, VReg)]> = (0..u)
-            .map(|q| match uops[pc + q] {
-                Uop::VindexmacVvi { vd, vs2, vs1, .. } => (vd, vs2, vs1),
-                _ => unreachable!("match_block checked the µop kinds"),
-            })
-            .collect();
-        let block = u + 2;
-        let mut reps = 1;
-        'grow: loop {
-            let next = pc + reps * block;
-            match match_block(uops, next) {
-                Some((u2, c2, i2, x1, x2))
-                    if u2 == u && c2 == ctr && i2 == ctr_imm && x1 == b1 && x2 == b2 =>
-                {
-                    for (q, &expect) in ops.iter().enumerate() {
-                        let Uop::VindexmacVvi { vd, vs2, vs1, .. } = uops[next + q] else {
-                            unreachable!("match_block checked the µop kinds");
-                        };
-                        if (vd, vs2, vs1) != expect {
-                            break 'grow;
-                        }
-                    }
-                    reps += 1;
-                }
-                _ => break,
-            }
-        }
-        if reps >= MIN_FUSE_REPS {
-            let mut slots = Vec::with_capacity(reps * u);
-            for b in 0..reps {
-                for q in 0..u {
-                    let Uop::VindexmacVvi { slot, .. } = uops[pc + b * block + q] else {
-                        unreachable!("match_block checked the µop kinds");
-                    };
-                    slots.push(slot);
-                }
-            }
-            at_table[pc] = runs.len() as u32 + 1;
-            runs.push(FusedRun {
-                start: pc,
-                u,
-                reps,
-                ops,
-                slots: slots.into_boxed_slice(),
-                ctr,
-                ctr_imm,
-            });
-            pc += reps * block;
-        } else {
-            pc += 1;
-        }
-    }
-    (runs.into(), at_table.into())
-}
-
-/// Shortest straight-line region worth compiling to a trace: below this
-/// the entry-table lookup and loop setup cost as much as the dispatches
-/// they replace.
-const MIN_TRACE_UOPS: usize = 6;
-
-/// Longest region one trace may cover. A bound keeps trace *starts*
-/// dense in the µop stream, so an execution resumed at an arbitrary
-/// slot (a shard boundary lands wherever the budget ran out) falls back
-/// to per-µop dispatch for at most this many µops before re-entering
-/// compiled code.
-const MAX_TRACE_UOPS: usize = 4096;
-
-/// One op of a compiled [`Trace`]: a single µop with its operands
-/// pre-extracted (no per-op fetch, entry-table probe, or event
-/// plumbing), or a whole embedded [`FusedRun`]. Each op's architectural
-/// effect is identical to the µop(s) it covers, which is what lets
-/// [`DecodedProgram::run_trace`] stop between any two ops — on budget
-/// exhaustion or a fused run stopping early — and hand the µop-exact
-/// resume point back to the interpreter.
-#[derive(Debug, Clone, Copy)]
-enum TraceOp {
-    Li {
-        rd: XReg,
-        imm: u64,
-    },
-    Mv {
-        rd: XReg,
-        rs: XReg,
-    },
-    Addi {
-        rd: XReg,
-        rs1: XReg,
-        imm: u64,
-    },
-    Add {
-        rd: XReg,
-        rs1: XReg,
-        rs2: XReg,
-    },
-    Sub {
-        rd: XReg,
-        rs1: XReg,
-        rs2: XReg,
-    },
-    Mul {
-        rd: XReg,
-        rs1: XReg,
-        rs2: XReg,
-    },
-    Slli {
-        rd: XReg,
-        rs1: XReg,
-        shamt: u32,
-    },
-    Srli {
-        rd: XReg,
-        rs1: XReg,
-        shamt: u32,
-    },
-    Nop,
-    Vsetvli {
-        rd: XReg,
-        rs1: XReg,
-        sew: Sew,
-        lmul: Lmul,
-    },
-    VLoad {
-        vd: VReg,
-        rs1: XReg,
-        ew: Sew,
-    },
-    VStore {
-        vs3: VReg,
-        rs1: XReg,
-        ew: Sew,
-    },
-    /// A conditional branch whose taken target is its own fall-through
-    /// slot — the fully-unrolled kernels' loop bookkeeping. Whichever
-    /// way the comparison goes the next slot is the same, so the op
-    /// retires without reading its registers.
-    BranchFall,
-    /// An embedded `vindexmac.vvi` slot loop: index into
-    /// [`DecodedProgram::fused`].
-    Mac {
-        run: u32,
-    },
-    /// A coalesced run of `li` / static-address vector access µops:
-    /// index into [`Trace::bursts`].
-    Burst {
-        idx: u32,
-    },
-}
-
-/// One vector access of a [`Burst`], its address pre-resolved at
-/// trace build time.
-#[derive(Debug, Clone, Copy)]
-struct BurstAccess {
-    store: bool,
-    /// Destination (load) or source (store) group base register.
-    reg: VReg,
-    addr: u64,
-    ew: Sew,
-}
-
-/// A coalesced run of consecutive trace ops — scalar writes whose
-/// values are build-time constants (`li`, or arithmetic folded over
-/// `li` results) and vector loads/stores whose addresses
-/// constant-propagation resolved. Executing a burst is architecturally
-/// identical to dispatching the original µops one at a time: the
-/// scalar writes apply in program order, the accesses apply in program
-/// order, and the two streams commute with each other (accesses take
-/// their addresses from the embedded constants, not the scalar file;
-/// scalar ops never read vector state). What the coalescing buys is
-/// batching — the shared `vl`/group-width computation happens once (no
-/// `vsetvli` can appear inside a burst) and the per-op dispatch
-/// disappears. All-or-nothing under a budget: a burst that does not
-/// fit is skipped entirely and the interpreter retires its µops one at
-/// a time instead.
-#[derive(Debug, Clone)]
-struct Burst {
-    /// µop slots covered (one per coalesced op).
-    uops: u32,
-    /// Scalar constant writes, in program order.
-    sets: Box<[(XReg, u64)]>,
-    /// Vector accesses, in program order.
-    accs: Box<[BurstAccess]>,
-}
-
-/// Executes one [`Burst`] under the current vtype. Infallible: every
-/// coalesced op was classified as unable to fault under a `Verified`
-/// token, and the addresses are the same constants the per-µop path
-/// would compute.
-fn exec_burst(burst: &Burst, state: &mut ArchState, mem: &mut MainMemory) {
-    for &(rd, v) in &burst.sets {
-        state.set_x(rd, v);
-    }
-    let vl = state.vl();
-    let regs = group_regs(vl, state.vlmax());
-    for a in &burst.accs {
-        debug_assert_eq!(state.vtype().sew, a.ew, "verified access width drifted");
-        let eb = SEW_INFO[sew_index(a.ew)].bytes;
-        if a.store {
-            let src = state.v_group_bytes(a.reg, regs);
-            mem.write_slice(a.addr, &src[..vl * eb]);
-        } else {
-            let dst = state.v_group_bytes_mut(a.reg, regs);
-            mem.read_slice(a.addr, &mut dst[..vl * eb]);
-        }
-    }
-}
-
-/// One compiled straight-line trace: `len` consecutive µops starting at
-/// `start`, none of which can fault or leave the fall-through path
-/// under a [`Verified`] token (the sole data-dependent fault, a fused
-/// run's out-of-range indirect source, exits the trace instead of
-/// raising). Executing a trace is architecturally identical to
-/// dispatching its µops one at a time — it just skips the per-µop
-/// fetch, entry-table probe and `pc` bookkeeping.
-#[derive(Debug, Clone)]
-struct Trace {
-    start: usize,
-    /// Total µop slots covered.
-    len: usize,
-    ops: Box<[TraceOp]>,
-    /// Statically-known data addresses, one per page the trace's
-    /// loads and stores touch, collected by [`plan_trace`]. The
-    /// executor prefetches all of them once on trace entry — something
-    /// the per-µop path, which discovers each address only when the
-    /// `li` before the access retires, cannot do. A trace covers at
-    /// most [`MAX_TRACE_UOPS`] µops (a few dozen pages), so nothing
-    /// prefetched here is evicted again before its access runs.
-    prefetch: Box<[u64]>,
-    /// Coalesced op runs referenced by [`TraceOp::Burst`].
-    bursts: Box<[Burst]>,
-}
-
-/// Fewest vector accesses that justify coalescing a run into a
-/// [`Burst`]: below two, the shared `vl`/group-width setup costs as
-/// much as the dispatches it saves and the run replays as plain ops.
-const MIN_BURST_ACCESSES: usize = 2;
-
-/// Third trace-compiler pass: constant-propagates the scalar register
-/// file through one compiled trace and uses the resolved values two
-/// ways.
-///
-/// **Bursts.** Maximal runs of consecutive ops whose effects are fully
-/// known at build time — constant scalar writes (`li`, or arithmetic
-/// whose inputs all trace back to `li`s) and vector loads/stores at
-/// resolved addresses — coalesce into [`Burst`]s, replacing the run
-/// with a single [`TraceOp::Burst`]. Register values at trace entry
-/// are unknown (except `x0`, hardwired to zero), so only effects
-/// rebuilt from constants inside the trace qualify; those are
-/// identical on every execution. The kernels materialise every operand
-/// address with a `li` right before the access, so in practice the
-/// whole steady-state load/store traffic coalesces.
-///
-/// **Prefetch.** Every resolved access address is also collected into
-/// the trace's page-prefetch list. Only *page transitions* are kept:
-/// within a [`PAGE_BYTES`](indexmac_mem::PAGE_BYTES) page the accesses
-/// stream contiguously through one allocation and the hardware
-/// prefetcher keeps up on its own, but it stops at the page boundary —
-/// exactly where the simulator also pays a fresh page-map lookup. One
-/// early hint per new page covers that gap without paying a lookup per
-/// access.
-fn plan_trace(start: usize, len: usize, ops: Vec<TraceOp>, fused: &[FusedRun]) -> Trace {
-    let mut vals = [None::<u64>; 32];
-    // `x0` is hardwired to zero: reads see 0, writes are discarded.
-    vals[0] = Some(0);
-    fn set(vals: &mut [Option<u64>; 32], rd: XReg, v: Option<u64>) {
-        if !rd.is_zero() {
-            vals[rd.index() as usize] = v;
-        }
-    }
-    let mut prefetch = Vec::new();
-    let mut last_page = None::<u64>;
-    let mut out_ops: Vec<TraceOp> = Vec::new();
-    let mut bursts: Vec<Burst> = Vec::new();
-    // The candidate run: original ops (replayed verbatim when the run
-    // is too short to pay for itself) plus their resolved effects.
-    let mut run_ops: Vec<TraceOp> = Vec::new();
-    let mut run_sets: Vec<(XReg, u64)> = Vec::new();
-    let mut run_accs: Vec<BurstAccess> = Vec::new();
-    fn flush(
-        out_ops: &mut Vec<TraceOp>,
-        bursts: &mut Vec<Burst>,
-        run_ops: &mut Vec<TraceOp>,
-        run_sets: &mut Vec<(XReg, u64)>,
-        run_accs: &mut Vec<BurstAccess>,
-    ) {
-        if run_accs.len() >= MIN_BURST_ACCESSES {
-            out_ops.push(TraceOp::Burst {
-                idx: bursts.len() as u32,
-            });
-            bursts.push(Burst {
-                uops: run_ops.len() as u32,
-                sets: std::mem::take(run_sets).into(),
-                accs: std::mem::take(run_accs).into(),
-            });
-            run_ops.clear();
-        } else {
-            out_ops.append(run_ops);
-            run_sets.clear();
-            run_accs.clear();
-        }
-    }
-    // A scalar op with a build-time-constant result joins the
-    // candidate run as a constant write; an unresolved one ends it.
-    fn fold(
-        vals: &mut [Option<u64>; 32],
-        run_ops: &mut Vec<TraceOp>,
-        run_sets: &mut Vec<(XReg, u64)>,
-        op: TraceOp,
-        rd: XReg,
-        v: Option<u64>,
-    ) -> bool {
-        set(vals, rd, v);
-        match v {
-            Some(v) => {
-                run_ops.push(op);
-                run_sets.push((rd, v));
-                true
-            }
-            None => false,
-        }
-    }
-    for op in ops {
-        let joined = match op {
-            TraceOp::Li { rd, imm } => {
-                fold(&mut vals, &mut run_ops, &mut run_sets, op, rd, Some(imm))
-            }
-            TraceOp::Mv { rd, rs } => {
-                let v = vals[rs.index() as usize];
-                fold(&mut vals, &mut run_ops, &mut run_sets, op, rd, v)
-            }
-            TraceOp::Addi { rd, rs1, imm } => {
-                let v = vals[rs1.index() as usize].map(|v| v.wrapping_add(imm));
-                fold(&mut vals, &mut run_ops, &mut run_sets, op, rd, v)
-            }
-            TraceOp::Add { rd, rs1, rs2 } => {
-                let v = vals[rs1.index() as usize]
-                    .zip(vals[rs2.index() as usize])
-                    .map(|(a, b)| a.wrapping_add(b));
-                fold(&mut vals, &mut run_ops, &mut run_sets, op, rd, v)
-            }
-            TraceOp::Sub { rd, rs1, rs2 } => {
-                let v = vals[rs1.index() as usize]
-                    .zip(vals[rs2.index() as usize])
-                    .map(|(a, b)| a.wrapping_sub(b));
-                fold(&mut vals, &mut run_ops, &mut run_sets, op, rd, v)
-            }
-            TraceOp::Mul { rd, rs1, rs2 } => {
-                let v = vals[rs1.index() as usize]
-                    .zip(vals[rs2.index() as usize])
-                    .map(|(a, b)| a.wrapping_mul(b));
-                fold(&mut vals, &mut run_ops, &mut run_sets, op, rd, v)
-            }
-            // `shamt` was masked to `& 63` at decode, so the plain
-            // shifts mirror the executor exactly.
-            TraceOp::Slli { rd, rs1, shamt } => {
-                let v = vals[rs1.index() as usize].map(|v| v << shamt);
-                fold(&mut vals, &mut run_ops, &mut run_sets, op, rd, v)
-            }
-            TraceOp::Srli { rd, rs1, shamt } => {
-                let v = vals[rs1.index() as usize].map(|v| v >> shamt);
-                fold(&mut vals, &mut run_ops, &mut run_sets, op, rd, v)
-            }
-            TraceOp::VLoad { vd, rs1, ew } => match vals[rs1.index() as usize] {
-                Some(addr) => {
-                    run_ops.push(op);
-                    run_accs.push(BurstAccess {
-                        store: false,
-                        reg: vd,
-                        addr,
-                        ew,
-                    });
-                    note_page(&mut prefetch, &mut last_page, addr);
-                    true
-                }
-                None => false,
-            },
-            TraceOp::VStore { vs3, rs1, ew } => match vals[rs1.index() as usize] {
-                Some(addr) => {
-                    run_ops.push(op);
-                    run_accs.push(BurstAccess {
-                        store: true,
-                        reg: vs3,
-                        addr,
-                        ew,
-                    });
-                    note_page(&mut prefetch, &mut last_page, addr);
-                    true
-                }
-                None => false,
-            },
-            // No architectural effect: rides along in the candidate
-            // run (it only bumps the µop count) so one no-op between
-            // two access runs does not split a burst.
-            TraceOp::Nop | TraceOp::BranchFall => {
-                run_ops.push(op);
-                true
-            }
-            TraceOp::Vsetvli { rd, .. } => {
-                set(&mut vals, rd, None);
-                false
-            }
-            TraceOp::Mac { run } => {
-                set(&mut vals, fused[run as usize].ctr, None);
-                false
-            }
-            TraceOp::Burst { .. } => unreachable!("bursts are introduced by this pass"),
-        };
-        if !joined {
-            flush(
-                &mut out_ops,
-                &mut bursts,
-                &mut run_ops,
-                &mut run_sets,
-                &mut run_accs,
-            );
-            out_ops.push(op);
-        }
-    }
-    flush(
-        &mut out_ops,
-        &mut bursts,
-        &mut run_ops,
-        &mut run_sets,
-        &mut run_accs,
-    );
-    Trace {
-        start,
-        len,
-        ops: out_ops.into(),
-        prefetch: prefetch.into(),
-        bursts: bursts.into(),
-    }
-}
-
-/// Appends `addr` to the trace's prefetch list when it opens a new
-/// [`PAGE_BYTES`](indexmac_mem::PAGE_BYTES) page (see [`plan_trace`]).
-fn note_page(prefetch: &mut Vec<u64>, last_page: &mut Option<u64>, addr: u64) {
-    let page = addr & !(indexmac_mem::PAGE_BYTES - 1);
-    if *last_page != Some(page) {
-        prefetch.push(addr);
-        *last_page = Some(page);
-    }
-}
-
-/// Classifies one µop for trace inclusion: its pre-extracted
-/// [`TraceOp`], or `None` when the op can branch off the fall-through
-/// path, fault, touch scalar memory, or needs the cold-path oracle —
-/// any of those ends the trace and stays on per-µop dispatch.
-fn trace_op(uop: &Uop, pc: usize) -> Option<TraceOp> {
-    Some(match *uop {
-        Uop::Li { rd, imm } => TraceOp::Li { rd, imm },
-        Uop::Mv { rd, rs } => TraceOp::Mv { rd, rs },
-        Uop::Addi { rd, rs1, imm } => TraceOp::Addi { rd, rs1, imm },
-        Uop::Add { rd, rs1, rs2 } => TraceOp::Add { rd, rs1, rs2 },
-        Uop::Sub { rd, rs1, rs2 } => TraceOp::Sub { rd, rs1, rs2 },
-        Uop::Mul { rd, rs1, rs2 } => TraceOp::Mul { rd, rs1, rs2 },
-        Uop::Slli { rd, rs1, shamt } => TraceOp::Slli { rd, rs1, shamt },
-        Uop::Srli { rd, rs1, shamt } => TraceOp::Srli { rd, rs1, shamt },
-        Uop::Nop => TraceOp::Nop,
-        Uop::Vsetvli { rd, rs1, sew, lmul } => TraceOp::Vsetvli { rd, rs1, sew, lmul },
-        Uop::VLoad { vd, rs1, ew } => TraceOp::VLoad { vd, rs1, ew },
-        Uop::VStore { vs3, rs1, ew } => TraceOp::VStore { vs3, rs1, ew },
-        Uop::Beq { target, .. }
-        | Uop::Bne { target, .. }
-        | Uop::Blt { target, .. }
-        | Uop::Bge { target, .. }
-            if target == (pc + 1) as i64 =>
-        {
-            TraceOp::BranchFall
-        }
-        _ => return None,
-    })
-}
-
-/// Second trace-compiler pass: compiles maximal straight-line regions —
-/// the whole steady-state tile body of the kernels (address `li`s,
-/// unit-stride loads, `vsetvli`s, the fused MAC slot loops, stores and
-/// loop bookkeeping) — into [`Trace`]s, plus a per-slot entry table
-/// mirroring `fused_at`. Runs after [`find_fused_runs`] so slot loops
-/// embed as single [`TraceOp::Mac`] ops.
-fn find_traces(uops: &[Uop], fused: &[FusedRun], fused_at: &[u32]) -> (Box<[Trace]>, Box<[u32]>) {
-    let mut traces: Vec<Trace> = Vec::new();
-    let mut at_table = vec![0u32; uops.len()];
-    let mut pc = 0;
-    while pc < uops.len() {
-        let mut ops: Vec<TraceOp> = Vec::new();
-        let mut end = pc;
-        while end < uops.len() && end - pc < MAX_TRACE_UOPS {
-            let entry = fused_at[end];
-            if entry != 0 {
-                ops.push(TraceOp::Mac { run: entry - 1 });
-                end += fused[entry as usize - 1].len();
-                continue;
-            }
-            let Some(op) = trace_op(&uops[end], end) else {
-                break;
-            };
-            ops.push(op);
-            end += 1;
-        }
-        let len = end - pc;
-        if len >= MIN_TRACE_UOPS {
-            at_table[pc] = traces.len() as u32 + 1;
-            traces.push(plan_trace(pc, len, ops, fused));
-            pc = end;
-        } else {
-            pc += 1;
-        }
-    }
-    (traces.into(), at_table.into())
-}
-
 fn decode_one(pc: usize, instr: &Instruction) -> Uop {
     use Instruction as I;
     let abs = |offset: i32| pc as i64 + offset as i64;
@@ -1032,62 +416,18 @@ fn decode_one(pc: usize, instr: &Instruction) -> Uop {
 pub struct DecodedProgram {
     uops: Box<[Uop]>,
     instrs: Box<[Instruction]>,
-    /// Trace-compiled steady-state runs (see [`FusedRun`]).
-    fused: Box<[FusedRun]>,
-    /// Per-slot fused-run entry table: `0` = no run starts at this
-    /// slot, else index + 1 into `fused`.
-    fused_at: Box<[u32]>,
-    /// Compiled straight-line traces (see [`Trace`]); each embeds the
-    /// fused runs it spans as [`TraceOp::Mac`] ops.
-    traces: Box<[Trace]>,
-    /// Per-slot trace entry table, same encoding as `fused_at`.
-    trace_at: Box<[u32]>,
 }
 
 impl DecodedProgram {
-    /// Predecodes `program` into µops and trace-compiles the IndexMAC
-    /// steady-state blocks (see [`DecodedProgram::fused_runs`]).
+    /// Predecodes `program` into µops.
     pub fn decode(program: &Program) -> Self {
         let instrs: Box<[Instruction]> = program.instructions().into();
-        let uops: Box<[Uop]> = instrs
+        let uops = instrs
             .iter()
             .enumerate()
             .map(|(pc, i)| decode_one(pc, i))
             .collect();
-        let (fused, fused_at) = find_fused_runs(&uops);
-        let (traces, trace_at) = find_traces(&uops, &fused, &fused_at);
-        Self {
-            uops,
-            instrs,
-            fused,
-            fused_at,
-            traces,
-            trace_at,
-        }
-    }
-
-    /// Number of fused steady-state runs the trace compiler found.
-    pub fn fused_runs(&self) -> usize {
-        self.fused.len()
-    }
-
-    /// Static µop slots covered by fused runs (the MAC slot loops
-    /// alone; see [`DecodedProgram::traced_uops`] for whole-trace
-    /// coverage).
-    pub fn fused_uops(&self) -> usize {
-        self.fused.iter().map(FusedRun::len).sum()
-    }
-
-    /// Number of compiled straight-line traces.
-    pub fn trace_segments(&self) -> usize {
-        self.traces.len()
-    }
-
-    /// Static µop slots covered by compiled traces — the trace
-    /// compiler's coverage of the program (`traced_uops() / len()` of
-    /// the hot kernels approaches 1).
-    pub fn traced_uops(&self) -> usize {
-        self.traces.iter().map(|t| t.len).sum()
+        Self { uops, instrs }
     }
 
     /// Static instruction count.
@@ -1132,7 +472,7 @@ impl DecodedProgram {
         obs: &mut O,
         max_instructions: u64,
     ) -> Result<u64, SimError> {
-        self.execute_impl::<O, true, false>(state, mem, obs, max_instructions)
+        self.execute_impl::<O, true>(state, mem, obs, max_instructions)
     }
 
     /// Runs the program with the statically-provable fault checks
@@ -1149,17 +489,6 @@ impl DecodedProgram {
     /// `token` must come from analyzing **this** program at the same
     /// VLEN (debug builds assert both).
     ///
-    /// When the observer wants no events (the functional
-    /// [`NullObserver`] path), execution additionally enters the
-    /// trace-compiled fast path: fused steady-state runs (see
-    /// [`DecodedProgram::fused_runs`]) retire as batched lane loops.
-    /// The fused executor validates every dynamic condition the per-µop
-    /// path would check just-in-time, stopping at the exact µop where
-    /// one fails and handing that µop to the per-µop loop, so results
-    /// — state, retired counts, faults — stay bit-identical.
-    /// Use [`DecodedProgram::execute_verified_untraced`] to measure the
-    /// pre-trace-compiler verified loop.
-    ///
     /// # Errors
     ///
     /// The retained conditions above; see [`DecodedProgram::execute`].
@@ -1171,32 +500,6 @@ impl DecodedProgram {
         max_instructions: u64,
         token: Verified,
     ) -> Result<u64, SimError> {
-        self.assert_token(state, token);
-        self.execute_impl::<O, false, true>(state, mem, obs, max_instructions)
-    }
-
-    /// [`DecodedProgram::execute_verified`] with the trace compiler
-    /// disabled: the plain check-elided µop loop, kept as the
-    /// measurement baseline the fused path is compared against
-    /// (`crates/bench/benches/engine_throughput.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DecodedProgram::execute_verified`].
-    pub fn execute_verified_untraced<O: Observer>(
-        &self,
-        state: &mut ArchState,
-        mem: &mut MainMemory,
-        obs: &mut O,
-        max_instructions: u64,
-        token: Verified,
-    ) -> Result<u64, SimError> {
-        self.assert_token(state, token);
-        self.execute_impl::<O, false, false>(state, mem, obs, max_instructions)
-    }
-
-    #[inline]
-    fn assert_token(&self, state: &ArchState, token: Verified) {
         debug_assert_eq!(
             token.program_len(),
             self.len(),
@@ -1207,10 +510,15 @@ impl DecodedProgram {
             state.vlen_bits(),
             "Verified token minted for a different VLEN"
         );
-        let _ = (state, token);
+        self.execute_impl::<O, false>(state, mem, obs, max_instructions)
     }
 
-    fn execute_impl<O: Observer, const CHECKED: bool, const TRACED: bool>(
+    /// The fetch loop behind both entry points. Retirement semantics
+    /// match the stepwise oracle bit-for-bit: at least one instruction
+    /// executes (even at `max_instructions == 0`, because the limit is
+    /// checked only *after* executing), and a program that halts exactly
+    /// on the limit succeeds.
+    fn execute_impl<O: Observer, const CHECKED: bool>(
         &self,
         state: &mut ArchState,
         mem: &mut MainMemory,
@@ -1219,105 +527,21 @@ impl DecodedProgram {
     ) -> Result<u64, SimError> {
         state.pc = 0;
         state.halted = false;
-        match self.run_range::<O, CHECKED, TRACED>(state, mem, obs, max_instructions)? {
-            (instret, RangeExit::Halted) => Ok(instret),
-            (_, RangeExit::Budget) => Err(SimError::InstructionLimit {
-                limit: max_instructions,
-            }),
-        }
-    }
-
-    /// Resumable execution core: runs from the **current** `state.pc`
-    /// (no reset) for at most `budget` dynamic instructions, returning
-    /// the retired count and why execution stopped. This is the
-    /// primitive both the whole-program entry points and the sharded
-    /// executor ([`crate::shard`]) are built on; shard boundaries are
-    /// exactly the [`RangeExit::Budget`] exits.
-    ///
-    /// Retirement semantics match the legacy loop bit-for-bit: at least
-    /// one instruction executes per call (even at `budget == 0`, like
-    /// the legacy loop, which checked its limit only *after* executing),
-    /// and a program that halts exactly on the budget boundary counts as
-    /// [`RangeExit::Halted`].
-    pub(crate) fn run_range<O: Observer, const CHECKED: bool, const TRACED: bool>(
-        &self,
-        state: &mut ArchState,
-        mem: &mut MainMemory,
-        obs: &mut O,
-        budget: u64,
-    ) -> Result<(u64, RangeExit), SimError> {
         let mut instret: u64 = 0;
         while !state.halted {
             let pc = state.pc;
             let Some(uop) = self.uops.get(pc) else {
                 return Err(SimError::FellOffEnd { pc });
             };
-            // The compiled fast paths are sound only where the per-µop
-            // checks were statically elided (`!CHECKED`, i.e. under a
-            // `Verified` token) and no observer needs per-µop events —
-            // both decided at compile time, so the checked and timed
-            // monomorphizations carry no trace-compiler code at all.
-            if TRACED && !CHECKED && !O::WANTS_EVENTS {
-                let entry = self.trace_at[pc];
-                if entry != 0 {
-                    let trace = &self.traces[entry as usize - 1];
-                    let n = self.run_trace(trace, state, mem, budget - instret)?;
-                    if n > 0 {
-                        instret += n;
-                        if instret >= budget && !state.halted {
-                            return Ok((instret, RangeExit::Budget));
-                        }
-                        continue;
-                    }
-                }
-                // No trace starts here (e.g. a shard resumed mid-trace),
-                // but a fused slot loop might.
-                let entry = self.fused_at[pc];
-                if entry != 0 {
-                    let run = &self.fused[entry as usize - 1];
-                    let n = self.try_fused(run, state, budget - instret);
-                    if n > 0 {
-                        instret += n;
-                        if instret >= budget && !state.halted {
-                            return Ok((instret, RangeExit::Budget));
-                        }
-                        continue;
-                    }
-                }
-            }
             self.exec_uop::<O, CHECKED>(state, mem, obs, pc, uop)?;
             instret += 1;
-            if instret >= budget && !state.halted {
-                return Ok((instret, RangeExit::Budget));
+            if instret >= max_instructions && !state.halted {
+                return Err(SimError::InstructionLimit {
+                    limit: max_instructions,
+                });
             }
         }
-        Ok((instret, RangeExit::Halted))
-    }
-
-    /// [`DecodedProgram::run_range`] through the checked µop loop (the
-    /// sharded executor's replay primitive for unanalyzed programs).
-    pub(crate) fn run_range_checked<O: Observer>(
-        &self,
-        state: &mut ArchState,
-        mem: &mut MainMemory,
-        obs: &mut O,
-        budget: u64,
-    ) -> Result<(u64, RangeExit), SimError> {
-        self.run_range::<O, true, false>(state, mem, obs, budget)
-    }
-
-    /// [`DecodedProgram::run_range`] through the check-elided loop,
-    /// trace compilation enabled (inert for event-wanting observers).
-    pub(crate) fn run_range_verified<O: Observer>(
-        &self,
-        state: &mut ArchState,
-        mem: &mut MainMemory,
-        obs: &mut O,
-        budget: u64,
-        token: Verified,
-    ) -> Result<(u64, RangeExit), SimError> {
-        self.assert_token(state, token);
-        self.run_range::<O, false, true>(state, mem, obs, budget)
+        Ok(instret)
     }
 
     /// Executes one µop, advancing `state.pc`. Split out of the fetch
@@ -1449,14 +673,70 @@ impl DecodedProgram {
                 } else {
                     debug_assert_ne!(sew, Sew::E64, "verified program selected e64");
                 }
-                ev_vl = vsetvli_body(state, rd, rs1, sew, lmul);
+                state.set_vtype(indexmac_isa::VType { sew, lmul });
+                let vlmax = state.vlmax_grouped();
+                let avl = if rs1.is_zero() {
+                    if rd.is_zero() {
+                        state.vl()
+                    } else {
+                        vlmax
+                    }
+                } else {
+                    state.x(rs1) as usize
+                };
+                let vl = avl.min(vlmax);
+                state.set_vl(vl);
+                state.set_x(rd, vl as u64);
+                ev_vl = vl;
                 ev_sew = sew;
             }
             Uop::VLoad { vd, rs1, ew } => {
-                mem_op = Some(vload_body::<CHECKED>(state, mem, pc, vd, rs1, ew)?);
+                let sew = state.vtype().sew;
+                let eb = SEW_INFO[sew_index(ew)].bytes;
+                let addr = state.x(rs1);
+                let vl = state.vl();
+                let regs = group_regs(vl, state.vlmax());
+                if CHECKED {
+                    check_element_width(pc, sew, ew)?;
+                    check_vector_alignment(pc, addr, eb as u64)?;
+                    check_group(pc, vd, regs)?;
+                } else {
+                    debug_assert_eq!(sew, ew, "verified load width drifted");
+                    debug_assert!(addr.is_multiple_of(eb as u64));
+                    debug_assert!(vd.index() as usize + regs <= 32);
+                }
+                let dst = state.v_group_bytes_mut(vd, regs);
+                mem.read_slice(addr, &mut dst[..vl * eb]);
+                mem_op = Some(MemOp {
+                    addr,
+                    bytes: (vl * eb) as u64,
+                    write: false,
+                    vector: true,
+                });
             }
             Uop::VStore { vs3, rs1, ew } => {
-                mem_op = Some(vstore_body::<CHECKED>(state, mem, pc, vs3, rs1, ew)?);
+                let sew = state.vtype().sew;
+                let eb = SEW_INFO[sew_index(ew)].bytes;
+                let addr = state.x(rs1);
+                let vl = state.vl();
+                let regs = group_regs(vl, state.vlmax());
+                if CHECKED {
+                    check_element_width(pc, sew, ew)?;
+                    check_vector_alignment(pc, addr, eb as u64)?;
+                    check_group(pc, vs3, regs)?;
+                } else {
+                    debug_assert_eq!(sew, ew, "verified store width drifted");
+                    debug_assert!(addr.is_multiple_of(eb as u64));
+                    debug_assert!(vs3.index() as usize + regs <= 32);
+                }
+                let src = state.v_group_bytes(vs3, regs);
+                mem.write_slice(addr, &src[..vl * eb]);
+                mem_op = Some(MemOp {
+                    addr,
+                    bytes: (vl * eb) as u64,
+                    write: true,
+                    vector: true,
+                });
             }
             Uop::VfmaccVf { vd, fs1, vs2 } => {
                 let vl = state.vl();
@@ -1534,316 +814,6 @@ impl DecodedProgram {
         }
         Ok(())
     }
-
-    /// Executes a prefix of a [`FusedRun`] as batched lane loops and
-    /// returns the µops retired (0 when the static shape check fails
-    /// or the first block does not fit `budget`). `state.pc` is left
-    /// at the first unexecuted slot, so the caller's per-µop loop
-    /// resumes µop-exactly when the run stops early — on exhausted
-    /// budget (block-granular), or on a µop whose indirect source is
-    /// out of range (the one data-dependent fault the verified path
-    /// retains) or aliases an accumulator group (the per-µop path
-    /// handles the overlapping borrow this loop cannot express).
-    ///
-    /// Bit-exactness: execution is in program order, in place — block
-    /// by block, accumulator by accumulator — so any retired prefix
-    /// applies exactly the per-µop path's operation sequence (same f32
-    /// / wrapping-integer ops, same order, no reassociation, no
-    /// staging buffer). Each µop's sources are validated just-in-time
-    /// *before* its lanes are touched, so a failing µop leaves state
-    /// exactly as the per-µop path would find it. The run's only
-    /// architectural effects are the accumulator register groups, the
-    /// counter register and the PC (its branches always fall through,
-    /// and it touches no memory).
-    fn try_fused(&self, run: &FusedRun, state: &mut ArchState, budget: u64) -> u64 {
-        let sew = state.vtype().sew;
-        if sew == Sew::E64 {
-            return 0;
-        }
-        let vl = state.vl();
-        let vlmax = state.vlmax();
-        let regs = group_regs(vl, vlmax);
-        let info = SEW_INFO[sew_index(sew)];
-        let dst_regs = if sew == Sew::E32 {
-            regs
-        } else {
-            regs * info.widen
-        };
-        if vl * 4 > MAX_GROUP_BYTES {
-            return 0;
-        }
-        // Static shape check (statically proven on the verified path;
-        // re-validated because returning 0 is free) + the destination
-        // bitmask: bit `r` set iff register `r` is inside some
-        // accumulator group. Accumulator groups must be pairwise
-        // disjoint for the mask to be meaningful, and the multiplier /
-        // metadata registers outside every one of them so the batched
-        // lane reads below see the same values as per-µop execution.
-        let mut dst_mask: u32 = 0;
-        for &(vd, ..) in &run.ops {
-            let di = vd.index() as usize;
-            if sew != Sew::E32 && (!di.is_multiple_of(info.widen) || dst_regs > 4) {
-                return 0;
-            }
-            if di + dst_regs > 32 {
-                return 0;
-            }
-            let group = ((1u32 << dst_regs) - 1) << di;
-            if dst_mask & group != 0 {
-                return 0;
-            }
-            dst_mask |= group;
-        }
-        for &(_, vs2, vs1) in &run.ops {
-            if dst_mask & (1 << vs2.index()) != 0 || dst_mask & (1 << vs1.index()) != 0 {
-                return 0;
-            }
-        }
-        let src_mask = (1u32 << regs) - 1;
-
-        // Execute in program order, validating each µop's indirect
-        // source just-in-time against the destination mask. `done`
-        // counts retired µops, which is also the PC offset into the
-        // run: `u` MAC µops per block, then the counter `addi` and the
-        // fall-through `bne` (no architectural effect — its target is
-        // its own fall-through slot). Multiplier/metadata lanes are
-        // read straight off the register file bytes: `slot < vlmax`
-        // bounds the lane to one register, so the read sees exactly
-        // what `v_lane` would return (and the slots that would make
-        // `v_lane` panic fall back to the per-µop path, which panics
-        // identically).
-        let vlen_bytes = state.vlen_bits() / 8;
-        let eb = info.bytes;
-        let block = run.block_len();
-        let mut slots = run.slots.iter();
-        let mut done: usize = 0;
-        'blocks: for _ in 0..run.reps {
-            if (done + block) as u64 > budget {
-                break;
-            }
-            for &(vd, vs2, vs1) in &run.ops {
-                debug_assert!(matches!(
-                    self.uops[run.start + done],
-                    Uop::VindexmacVvi { .. }
-                ));
-                let slot = *slots.next().expect("decode collected reps * u slots") as usize;
-                if slot >= vlmax {
-                    break 'blocks;
-                }
-                let vrf = state.vrf_bytes();
-                let m_bits = lane_bits(vrf, vs2.index() as usize * vlen_bytes + slot * eb, sew);
-                let idx = lane_bits(vrf, vs1.index() as usize * vlen_bytes + slot * eb, sew);
-                let src = (idx & 0x1F) as usize;
-                if src + regs > 32 || (dst_mask >> src) & src_mask != 0 {
-                    break 'blocks;
-                }
-                let src = VReg::new(src as u8);
-                if sew == Sew::E32 {
-                    let m = f32::from_bits(m_bits);
-                    let (dst, sb) = state.v_group_pair_mut(vd, regs, src, regs);
-                    let (dst, sb) = (&mut dst[..vl * 4], &sb[..vl * 4]);
-                    for (ch, sc) in dst.chunks_exact_mut(4).zip(sb.chunks_exact(4)) {
-                        let a = f32::from_bits(u32::from_le_bytes(sc.try_into().expect("4 bytes")));
-                        let d = f32::from_bits(u32::from_le_bytes(ch.try_into().expect("4 bytes")));
-                        ch.copy_from_slice(&(d + m * a).to_bits().to_le_bytes());
-                    }
-                } else {
-                    let m = sign_extend(m_bits, sew);
-                    let (dst, sb) = state.v_group_pair_mut(vd, dst_regs, src, regs);
-                    let dst = &mut dst[..vl * 4];
-                    if sew == Sew::E8 {
-                        let sb = &sb[..vl];
-                        for (ch, &raw) in dst.chunks_exact_mut(4).zip(sb.iter()) {
-                            let d = i32::from_le_bytes(ch.try_into().expect("4 bytes"));
-                            let v = d.wrapping_add(m.wrapping_mul(raw as i8 as i32));
-                            ch.copy_from_slice(&v.to_le_bytes());
-                        }
-                    } else {
-                        let sb = &sb[..vl * 2];
-                        for (ch, sc) in dst.chunks_exact_mut(4).zip(sb.chunks_exact(2)) {
-                            let a = i16::from_le_bytes(sc.try_into().expect("2 bytes")) as i32;
-                            let d = i32::from_le_bytes(ch.try_into().expect("4 bytes"));
-                            ch.copy_from_slice(&d.wrapping_add(m.wrapping_mul(a)).to_le_bytes());
-                        }
-                    }
-                }
-                done += 1;
-            }
-            // The counter `addi` plus the fall-through `bne`.
-            let c = state.x(run.ctr).wrapping_add(run.ctr_imm);
-            state.set_x(run.ctr, c);
-            done += 2;
-        }
-        state.pc = run.start + done;
-        done as u64
-    }
-
-    /// Executes as much of `trace` as `budget` allows, starting at its
-    /// first µop (callers enter only via `trace_at[state.pc]`). Returns
-    /// the µops retired; `state.pc` is left at the first unexecuted
-    /// slot, so the interpreter resumes µop-exactly whether the trace
-    /// ran dry of budget, hit a fused run that stopped early (the
-    /// caller's per-µop loop then raises the precise fault or handles
-    /// the aliasing µop), or completed.
-    ///
-    /// Infallible in practice: every trace op was classified as unable
-    /// to fault under a `Verified` token ([`trace_op`]), and the shared
-    /// `*_body` helpers compile their check branches out at
-    /// `CHECKED = false`. The `Result` only propagates that type.
-    fn run_trace(
-        &self,
-        trace: &Trace,
-        state: &mut ArchState,
-        mem: &mut MainMemory,
-        budget: u64,
-    ) -> Result<u64, SimError> {
-        // Warm every statically-known page this trace touches before
-        // executing a single op. A hint only: no architectural effect,
-        // and over-prefetching past an early stop just warms lines for
-        // the resumed run.
-        for &addr in &trace.prefetch {
-            mem.prefetch(addr);
-        }
-        let mut pc = trace.start;
-        if budget >= trace.len as u64 {
-            // Fast loop: the budget covers the whole trace, so no
-            // per-op budget compare or retired-count bookkeeping —
-            // only `pc`, which the early-stop paths need.
-            for op in &trace.ops {
-                match *op {
-                    TraceOp::Mac { run } => {
-                        let run = &self.fused[run as usize];
-                        let n = self.try_fused(run, state, u64::MAX);
-                        pc += n as usize;
-                        if n < run.len() as u64 {
-                            state.pc = pc;
-                            return Ok((pc - trace.start) as u64);
-                        }
-                    }
-                    TraceOp::Burst { idx } => {
-                        let burst = &trace.bursts[idx as usize];
-                        exec_burst(burst, state, mem);
-                        pc += burst.uops as usize;
-                    }
-                    _ => {
-                        exec_trace_op(op, state, mem, pc)?;
-                        pc += 1;
-                    }
-                }
-            }
-            state.pc = pc;
-            return Ok(trace.len as u64);
-        }
-        let mut consumed: u64 = 0;
-        'ops: for op in &trace.ops {
-            if consumed >= budget {
-                break;
-            }
-            match *op {
-                TraceOp::Mac { run } => {
-                    let run = &self.fused[run as usize];
-                    let n = self.try_fused(run, state, budget - consumed);
-                    consumed += n;
-                    pc += n as usize;
-                    if n < run.len() as u64 {
-                        break 'ops;
-                    }
-                }
-                // All-or-nothing: a burst that does not fit the
-                // remaining budget is left to the per-µop
-                // interpreter, which retires its µops one at a time
-                // up to the exact budget boundary.
-                TraceOp::Burst { idx } => {
-                    let burst = &trace.bursts[idx as usize];
-                    if consumed + burst.uops as u64 > budget {
-                        break 'ops;
-                    }
-                    exec_burst(burst, state, mem);
-                    consumed += burst.uops as u64;
-                    pc += burst.uops as usize;
-                }
-                _ => {
-                    exec_trace_op(op, state, mem, pc)?;
-                    consumed += 1;
-                    pc += 1;
-                }
-            }
-        }
-        state.pc = pc;
-        Ok(consumed)
-    }
-}
-
-/// Executes one non-[`TraceOp::Mac`] trace op — the shared body of
-/// [`DecodedProgram::run_trace`]'s budget-free and budgeted loops.
-/// Infallible in practice (see `run_trace`); the `Result` only
-/// propagates the `*_body` helpers' type.
-#[inline]
-fn exec_trace_op(
-    op: &TraceOp,
-    state: &mut ArchState,
-    mem: &mut MainMemory,
-    pc: usize,
-) -> Result<(), SimError> {
-    match *op {
-        TraceOp::Li { rd, imm } => state.set_x(rd, imm),
-        TraceOp::Mv { rd, rs } => {
-            let v = state.x(rs);
-            state.set_x(rd, v);
-        }
-        TraceOp::Addi { rd, rs1, imm } => {
-            let v = state.x(rs1).wrapping_add(imm);
-            state.set_x(rd, v);
-        }
-        TraceOp::Add { rd, rs1, rs2 } => {
-            let v = state.x(rs1).wrapping_add(state.x(rs2));
-            state.set_x(rd, v);
-        }
-        TraceOp::Sub { rd, rs1, rs2 } => {
-            let v = state.x(rs1).wrapping_sub(state.x(rs2));
-            state.set_x(rd, v);
-        }
-        TraceOp::Mul { rd, rs1, rs2 } => {
-            let v = state.x(rs1).wrapping_mul(state.x(rs2));
-            state.set_x(rd, v);
-        }
-        TraceOp::Slli { rd, rs1, shamt } => {
-            let v = state.x(rs1) << shamt;
-            state.set_x(rd, v);
-        }
-        TraceOp::Srli { rd, rs1, shamt } => {
-            let v = state.x(rs1) >> shamt;
-            state.set_x(rd, v);
-        }
-        TraceOp::Nop | TraceOp::BranchFall => {}
-        TraceOp::Vsetvli { rd, rs1, sew, lmul } => {
-            debug_assert_ne!(sew, Sew::E64, "verified program selected e64");
-            vsetvli_body(state, rd, rs1, sew, lmul);
-        }
-        TraceOp::VLoad { vd, rs1, ew } => {
-            vload_body::<false>(state, mem, pc, vd, rs1, ew)?;
-        }
-        TraceOp::VStore { vs3, rs1, ew } => {
-            vstore_body::<false>(state, mem, pc, vs3, rs1, ew)?;
-        }
-        TraceOp::Mac { .. } | TraceOp::Burst { .. } => {
-            unreachable!("run_trace handles fused runs and bursts")
-        }
-    }
-    Ok(())
-}
-
-/// One lane, zero-extended, read straight off register-file bytes at a
-/// precomputed offset — the caller has already bounded the lane to a
-/// single register, so this returns exactly what
-/// [`ArchState::v_lane`](crate::ArchState::v_lane) would.
-#[inline]
-fn lane_bits(vrf: &[u8], off: usize, sew: Sew) -> u32 {
-    match sew {
-        Sew::E8 => vrf[off] as u32,
-        Sew::E16 => u16::from_le_bytes(vrf[off..off + 2].try_into().expect("2 bytes")) as u32,
-        _ => u32::from_le_bytes(vrf[off..off + 4].try_into().expect("4 bytes")),
-    }
 }
 
 #[inline]
@@ -1886,97 +856,6 @@ fn le32(bytes: &[u8], off: usize) -> u32 {
 /// vouch for it through a layout contract — the one data-dependent rule
 /// stays a real branch. The *destination* checks (widening alignment,
 /// group ranges over a decode-time-constant base) do compile out.
-/// `vsetvli` semantics, shared verbatim by the per-µop interpreter and
-/// the trace executor. Returns the new `vl` (for event construction).
-#[inline]
-fn vsetvli_body(state: &mut ArchState, rd: XReg, rs1: XReg, sew: Sew, lmul: Lmul) -> usize {
-    state.set_vtype(indexmac_isa::VType { sew, lmul });
-    let vlmax = state.vlmax_grouped();
-    let avl = if rs1.is_zero() {
-        if rd.is_zero() {
-            state.vl()
-        } else {
-            vlmax
-        }
-    } else {
-        state.x(rs1) as usize
-    };
-    let vl = avl.min(vlmax);
-    state.set_vl(vl);
-    state.set_x(rd, vl as u64);
-    vl
-}
-
-/// Unit-stride vector load semantics, shared verbatim by the per-µop
-/// interpreter and the trace executor.
-#[inline]
-fn vload_body<const CHECKED: bool>(
-    state: &mut ArchState,
-    mem: &mut MainMemory,
-    pc: usize,
-    vd: VReg,
-    rs1: XReg,
-    ew: Sew,
-) -> Result<MemOp, SimError> {
-    let sew = state.vtype().sew;
-    let eb = SEW_INFO[sew_index(ew)].bytes;
-    let addr = state.x(rs1);
-    let vl = state.vl();
-    let regs = group_regs(vl, state.vlmax());
-    if CHECKED {
-        check_element_width(pc, sew, ew)?;
-        check_vector_alignment(pc, addr, eb as u64)?;
-        check_group(pc, vd, regs)?;
-    } else {
-        debug_assert_eq!(sew, ew, "verified load width drifted");
-        debug_assert!(addr.is_multiple_of(eb as u64));
-        debug_assert!(vd.index() as usize + regs <= 32);
-    }
-    let dst = state.v_group_bytes_mut(vd, regs);
-    mem.read_slice(addr, &mut dst[..vl * eb]);
-    Ok(MemOp {
-        addr,
-        bytes: (vl * eb) as u64,
-        write: false,
-        vector: true,
-    })
-}
-
-/// Unit-stride vector store semantics, shared verbatim by the per-µop
-/// interpreter and the trace executor.
-#[inline]
-fn vstore_body<const CHECKED: bool>(
-    state: &mut ArchState,
-    mem: &mut MainMemory,
-    pc: usize,
-    vs3: VReg,
-    rs1: XReg,
-    ew: Sew,
-) -> Result<MemOp, SimError> {
-    let sew = state.vtype().sew;
-    let eb = SEW_INFO[sew_index(ew)].bytes;
-    let addr = state.x(rs1);
-    let vl = state.vl();
-    let regs = group_regs(vl, state.vlmax());
-    if CHECKED {
-        check_element_width(pc, sew, ew)?;
-        check_vector_alignment(pc, addr, eb as u64)?;
-        check_group(pc, vs3, regs)?;
-    } else {
-        debug_assert_eq!(sew, ew, "verified store width drifted");
-        debug_assert!(addr.is_multiple_of(eb as u64));
-        debug_assert!(vs3.index() as usize + regs <= 32);
-    }
-    let src = state.v_group_bytes(vs3, regs);
-    mem.write_slice(addr, &src[..vl * eb]);
-    Ok(MemOp {
-        addr,
-        bytes: (vl * eb) as u64,
-        write: true,
-        vector: true,
-    })
-}
-
 fn indexmac_body<const CHECKED: bool>(
     state: &mut ArchState,
     pc: usize,
@@ -2365,387 +1244,6 @@ mod tests {
             assert_eq!(info.bytes, sew.bytes());
             assert_eq!(info.lane_mask as u64, (1u64 << sew.bits()) - 1);
             assert_eq!(info.widen, crate::exec::widen_factor(sew));
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Trace compiler
-    // ------------------------------------------------------------------
-
-    /// Emits the unrolled IndexMAC steady-state shape the trace compiler
-    /// targets: `reps` blocks of one `vindexmac.vvi` per dst, a counter
-    /// decrement and a fall-through loop branch — exactly what the
-    /// kernel builders produce per dynamic iteration.
-    fn fused_kernel(reps: usize, sew: Sew, dsts: &[VReg], mult: VReg, meta: VReg) -> Program {
-        let vl = 512 / sew.bits();
-        let mut b = ProgramBuilder::new();
-        b.li(XReg::A0, vl as i64);
-        b.push(Instruction::Vsetvli {
-            rd: XReg::T0,
-            rs1: XReg::A0,
-            sew,
-            lmul: Lmul::M1,
-        });
-        b.li(XReg::T2, 100);
-        for r in 0..reps {
-            for &vd in dsts {
-                b.push(Instruction::VindexmacVvi {
-                    vd,
-                    vs2: mult,
-                    vs1: meta,
-                    slot: (r % vl) as u8,
-                });
-            }
-            b.addi(XReg::T2, XReg::T2, -1);
-            let next = b.new_label();
-            b.bne(XReg::T2, XReg::ZERO, next);
-            b.bind(next);
-        }
-        b.halt();
-        b.build()
-    }
-
-    /// Seeds the VRF so every metadata slot selects a valid indirect
-    /// source: metadata lanes alternate between v20 and v21, both filled
-    /// with per-lane data, multipliers in `mult`.
-    fn seed_vrf(s: &mut ArchState, sew: Sew, mult: VReg, meta: VReg, src_base: u32) {
-        let vl = 512 / sew.bits();
-        for i in 0..vl {
-            let (m_bits, a_bits, b_bits) = match sew {
-                Sew::E32 => (
-                    (0.5f32 + 0.125 * i as f32).to_bits(),
-                    (1.5f32 + i as f32).to_bits(),
-                    (0.25f32 * i as f32 - 2.0).to_bits(),
-                ),
-                // Integer element widths: small signed values.
-                _ => (
-                    (i as i32 - 3) as u32,
-                    (2 * i as i32 - 7) as u32,
-                    (5 - i as i32) as u32,
-                ),
-            };
-            s.set_v_lane(mult, i, sew, m_bits);
-            s.set_v_lane(meta, i, sew, src_base + (i as u32 % 2));
-            s.set_v_lane(VReg::new(src_base as u8), i, sew, a_bits);
-            s.set_v_lane(VReg::new(src_base as u8 + 1), i, sew, b_bits);
-        }
-    }
-
-    /// Runs `program` through the trace-compiled verified loop and the
-    /// checked per-µop loop on identical initial state, asserting
-    /// identical outcomes and bit-identical architectural state (the
-    /// checked loop is itself oracle-verified by [`assert_parity`]).
-    fn assert_fused_parity(
-        program: &Program,
-        setup: impl Fn(&mut ArchState, &mut MainMemory),
-    ) -> ArchState {
-        let decoded = DecodedProgram::decode(program);
-        let mut s_fused = ArchState::new(512);
-        let mut m_fused = MainMemory::new();
-        setup(&mut s_fused, &mut m_fused);
-        let mut s_checked = s_fused.clone();
-        let mut m_checked = m_fused.clone();
-        let got = decoded.execute_impl::<_, false, true>(
-            &mut s_fused,
-            &mut m_fused,
-            &mut NullObserver,
-            100_000,
-        );
-        let want = decoded.execute(&mut s_checked, &mut m_checked, &mut NullObserver, 100_000);
-        assert_eq!(got, want, "run outcome diverged");
-        assert_eq!(s_fused, s_checked, "architectural state diverged");
-        s_fused
-    }
-
-    #[test]
-    fn trace_compiler_finds_the_steady_state_shape() {
-        let p = fused_kernel(6, Sew::E32, &[VReg::V0, VReg::V4], VReg::V8, VReg::new(10));
-        let d = DecodedProgram::decode(&p);
-        assert_eq!(d.fused_runs(), 1);
-        // u = 2 per block, block = u + 2, 6 blocks.
-        assert_eq!(d.fused_uops(), 6 * 4);
-        // Entry table: the run starts right after the 3 setup slots.
-        assert_eq!(d.fused_at[3], 1);
-        assert!(d.fused_at[4..].iter().all(|&e| e == 0));
-        let run = &d.fused[0];
-        assert_eq!((run.start, run.u, run.reps), (3, 2, 6));
-        assert_eq!(run.ctr, XReg::T2);
-        assert_eq!(run.ctr_imm, (-1i64) as u64);
-    }
-
-    #[test]
-    fn trace_compiler_respects_the_rep_threshold() {
-        let below = fused_kernel(
-            MIN_FUSE_REPS - 1,
-            Sew::E32,
-            &[VReg::V0],
-            VReg::V8,
-            VReg::new(10),
-        );
-        assert_eq!(DecodedProgram::decode(&below).fused_runs(), 0);
-        let at = fused_kernel(
-            MIN_FUSE_REPS,
-            Sew::E32,
-            &[VReg::V0],
-            VReg::V8,
-            VReg::new(10),
-        );
-        let d = DecodedProgram::decode(&at);
-        assert_eq!(d.fused_runs(), 1);
-        assert_eq!(d.fused[0].reps, MIN_FUSE_REPS);
-    }
-
-    #[test]
-    fn trace_compiler_ignores_non_matching_blocks() {
-        // A counter bump whose rd != rs1 breaks the shape.
-        let p = fixture(|b| {
-            b.li(XReg::T2, 100);
-            for _ in 0..8 {
-                b.push(Instruction::VindexmacVvi {
-                    vd: VReg::V0,
-                    vs2: VReg::V8,
-                    vs1: VReg::new(10),
-                    slot: 0,
-                });
-                b.addi(XReg::T3, XReg::T2, -1);
-                let next = b.new_label();
-                b.bne(XReg::T2, XReg::ZERO, next);
-                b.bind(next);
-            }
-            b.halt();
-        });
-        assert_eq!(DecodedProgram::decode(&p).fused_runs(), 0);
-        // A taken branch target (real loop, not unrolled) breaks it too.
-        let p = fixture(|b| {
-            b.li(XReg::T2, 8);
-            let top = b.bind_label();
-            b.push(Instruction::VindexmacVvi {
-                vd: VReg::V0,
-                vs2: VReg::V8,
-                vs1: VReg::new(10),
-                slot: 0,
-            });
-            b.addi(XReg::T2, XReg::T2, -1);
-            b.bne(XReg::T2, XReg::ZERO, top);
-            b.halt();
-        });
-        assert_eq!(DecodedProgram::decode(&p).fused_runs(), 0);
-    }
-
-    #[test]
-    fn fused_path_matches_checked_engine_at_each_sew() {
-        for sew in [Sew::E8, Sew::E16, Sew::E32] {
-            let p = fused_kernel(6, sew, &[VReg::V0, VReg::V4], VReg::V8, VReg::new(10));
-            assert_eq!(DecodedProgram::decode(&p).fused_runs(), 1, "{sew:?}");
-            let end = assert_fused_parity(&p, |s, _| seed_vrf(s, sew, VReg::V8, VReg::new(10), 20));
-            // The counter folded to its final value: 100 - reps.
-            assert_eq!(end.x(XReg::T2), 94, "{sew:?}");
-        }
-    }
-
-    #[test]
-    fn fused_path_falls_back_on_aliasing() {
-        // Every variant here defeats a different precheck; all must
-        // still match the checked engine bit-for-bit via the per-µop
-        // fallback.
-        let cases: &[(&str, &[VReg], VReg, VReg, u32)] = &[
-            // Metadata lane selects a register inside a dst group.
-            (
-                "src aliases dst",
-                &[VReg::V0, VReg::V4],
-                VReg::V8,
-                VReg::new(10),
-                0,
-            ),
-            // The multiplier register is itself a destination.
-            (
-                "vs2 aliases dst",
-                &[VReg::V8, VReg::V4],
-                VReg::V8,
-                VReg::new(10),
-                20,
-            ),
-            // The metadata register is itself a destination.
-            (
-                "vs1 aliases dst",
-                &[VReg::new(10), VReg::V4],
-                VReg::V8,
-                VReg::new(10),
-                20,
-            ),
-        ];
-        for &(what, dsts, mult, meta, src_base) in cases {
-            let p = fused_kernel(6, Sew::E32, dsts, mult, meta);
-            assert_eq!(DecodedProgram::decode(&p).fused_runs(), 1, "{what}");
-            assert_fused_parity(&p, |s, _| {
-                seed_vrf(s, Sew::E32, mult, meta, 20);
-                if src_base != 20 {
-                    for i in 0..16 {
-                        s.set_v_lane(meta, i, Sew::E32, src_base);
-                    }
-                }
-            });
-        }
-        // The same accumulator twice per block: the destination mask
-        // is only meaningful for pairwise-disjoint groups, so the
-        // static check must reject this shape and fall back.
-        let p = fused_kernel(6, Sew::E32, &[VReg::V0, VReg::V0], VReg::V8, VReg::new(10));
-        assert_eq!(DecodedProgram::decode(&p).fused_runs(), 1);
-        assert_fused_parity(&p, |s, _| {
-            seed_vrf(s, Sew::E32, VReg::V8, VReg::new(10), 20);
-        });
-    }
-
-    #[test]
-    fn traced_run_range_matches_checked_at_every_budget() {
-        // Budgets that land mid-fused-run stop the batched path at a
-        // block boundary and hand the tail to the per-µop loop; every
-        // budget must retire the same count, exit the same way and
-        // leave identical state as the checked loop — this is the
-        // shard-boundary contract.
-        let p = fused_kernel(6, Sew::E32, &[VReg::V0, VReg::V4], VReg::V8, VReg::new(10));
-        let decoded = DecodedProgram::decode(&p);
-        assert_eq!(decoded.fused_runs(), 1);
-        let total = 3 + 6 * 4 + 1; // setup + blocks + halt
-        for budget in 0..=(total + 2) as u64 {
-            let mut s_t = ArchState::new(512);
-            let mut m_t = MainMemory::new();
-            seed_vrf(&mut s_t, Sew::E32, VReg::V8, VReg::new(10), 20);
-            let mut s_c = s_t.clone();
-            let mut m_c = m_t.clone();
-            let got = decoded
-                .run_range::<_, false, true>(&mut s_t, &mut m_t, &mut NullObserver, budget)
-                .unwrap();
-            let want = decoded
-                .run_range::<_, true, false>(&mut s_c, &mut m_c, &mut NullObserver, budget)
-                .unwrap();
-            assert_eq!(got, want, "budget {budget}");
-            assert_eq!(s_t, s_c, "budget {budget}");
-            // Resuming from the boundary completes identically.
-            if got.1 == RangeExit::Budget {
-                let rest_t = decoded
-                    .run_range::<_, false, true>(&mut s_t, &mut m_t, &mut NullObserver, u64::MAX)
-                    .unwrap();
-                let rest_c = decoded
-                    .run_range::<_, true, false>(&mut s_c, &mut m_c, &mut NullObserver, u64::MAX)
-                    .unwrap();
-                assert_eq!(rest_t, rest_c, "budget {budget} resume");
-                assert_eq!(s_t, s_c, "budget {budget} resume");
-                assert_eq!(got.0 + rest_t.0, total as u64, "budget {budget} total");
-            }
-        }
-    }
-
-    /// The kernel idiom the burst planner targets: every operand
-    /// address is materialised by a `li` (or arithmetic folded over
-    /// one) right before its access.
-    fn bursty_fixture() -> Program {
-        fixture(|b| {
-            b.push(Instruction::Vsetvli {
-                rd: XReg::T0,
-                rs1: XReg::ZERO,
-                sew: Sew::E32,
-                lmul: Lmul::M1,
-            });
-            b.li(XReg::T1, 0x1000);
-            b.push(Instruction::Vle32 {
-                vd: VReg::new(1),
-                rs1: XReg::T1,
-            });
-            b.li(XReg::T2, 0x2000);
-            b.push(Instruction::Vle32 {
-                vd: VReg::new(2),
-                rs1: XReg::T2,
-            });
-            b.addi(XReg::T3, XReg::T1, 0x100);
-            b.push(Instruction::Vse32 {
-                vs3: VReg::new(1),
-                rs1: XReg::T3,
-            });
-            // This load's address comes from an entry register the
-            // planner cannot see: it must end the run, staying a
-            // plain per-op dispatch.
-            b.push(Instruction::Vle32 {
-                vd: VReg::new(3),
-                rs1: XReg::A0,
-            });
-            b.halt();
-        })
-    }
-
-    #[test]
-    fn trace_planner_coalesces_static_access_runs_into_bursts() {
-        let d = DecodedProgram::decode(&bursty_fixture());
-        assert_eq!(d.traces.len(), 1);
-        let t = &d.traces[0];
-        // vsetvli + 6-µop burst + the unresolved load; `halt` ends
-        // the trace.
-        assert_eq!(t.len, 8);
-        assert!(matches!(
-            &t.ops[..],
-            [
-                TraceOp::Vsetvli { .. },
-                TraceOp::Burst { idx: 0 },
-                TraceOp::VLoad { .. }
-            ]
-        ));
-        assert_eq!(t.bursts.len(), 1);
-        let burst = &t.bursts[0];
-        assert_eq!(burst.uops, 6);
-        // Constant propagation resolved all three scalar writes,
-        // including the `addi` folded over the first `li`.
-        assert_eq!(
-            &burst.sets[..],
-            &[(XReg::T1, 0x1000), (XReg::T2, 0x2000), (XReg::T3, 0x1100)]
-        );
-        let accs: Vec<(bool, u64)> = burst.accs.iter().map(|a| (a.store, a.addr)).collect();
-        assert_eq!(accs, [(false, 0x1000), (false, 0x2000), (true, 0x1100)]);
-        // Page-transition prefetch: first page, second page, and back.
-        assert_eq!(&t.prefetch[..], &[0x1000, 0x2000, 0x1100]);
-    }
-
-    #[test]
-    fn burst_budget_stops_are_uop_exact() {
-        // A budget landing inside a burst must leave the whole burst
-        // to the per-µop interpreter: state AND memory identical to
-        // the checked loop at every boundary, and a resume completes
-        // identically — the shard-boundary contract again, for the
-        // store inside the burst.
-        let p = bursty_fixture();
-        let decoded = DecodedProgram::decode(&p);
-        let total = 9u64; // 8 traced slots + halt
-        for budget in 0..=total + 2 {
-            let mut s_t = ArchState::new(512);
-            let mut m_t = MainMemory::new();
-            let pattern: Vec<u8> = (0..64u32).map(|i| (i * 7 + 3) as u8).collect();
-            m_t.write_slice(0x1000, &pattern);
-            m_t.write_slice(0x2000, &pattern[32..]);
-            m_t.write_slice(0x2000 + 32, &pattern[..32]);
-            let mut s_c = s_t.clone();
-            let mut m_c = m_t.clone();
-            let got = decoded
-                .run_range::<_, false, true>(&mut s_t, &mut m_t, &mut NullObserver, budget)
-                .unwrap();
-            let want = decoded
-                .run_range::<_, true, false>(&mut s_c, &mut m_c, &mut NullObserver, budget)
-                .unwrap();
-            assert_eq!(got, want, "budget {budget}");
-            assert_eq!(s_t, s_c, "budget {budget}");
-            let (mut seen_t, mut seen_c) = ([0u8; 64], [0u8; 64]);
-            m_t.read_slice(0x1100, &mut seen_t);
-            m_c.read_slice(0x1100, &mut seen_c);
-            assert_eq!(seen_t, seen_c, "budget {budget} store bytes");
-            if got.1 == RangeExit::Budget {
-                let rest_t = decoded
-                    .run_range::<_, false, true>(&mut s_t, &mut m_t, &mut NullObserver, u64::MAX)
-                    .unwrap();
-                let rest_c = decoded
-                    .run_range::<_, true, false>(&mut s_c, &mut m_c, &mut NullObserver, u64::MAX)
-                    .unwrap();
-                assert_eq!(rest_t, rest_c, "budget {budget} resume");
-                assert_eq!(s_t, s_c, "budget {budget} resume");
-                assert_eq!(got.0 + rest_t.0, total, "budget {budget} total");
-            }
         }
     }
 }

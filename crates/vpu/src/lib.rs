@@ -48,7 +48,6 @@ pub mod config;
 pub mod engine;
 pub mod exec;
 pub mod report;
-pub mod shard;
 pub mod sim;
 pub mod state;
 pub mod timing;
@@ -59,14 +58,13 @@ pub use analyze::{
     Diagnostic, OffsetTable, Rule, Severity, Verified, VregTable,
 };
 pub use config::{SimConfig, TimingKind};
-pub use engine::{DecodedProgram, NullObserver, Observer, RangeExit};
+pub use engine::{DecodedProgram, NullObserver, Observer};
 pub use exec::{ExecError, ExecEvent, MemOp};
 pub use report::RunReport;
-pub use shard::ShardedRun;
 pub use sim::{SimError, Simulator};
 pub use state::ArchState;
 pub use timing::{
-    AnyTimingModel, ClassCounts, CountingObserver, InOrderScoreboard, InstrTiming, OutOfOrder,
-    PipeStalls, Pipelined, TimingModel, TimingObserver,
+    AnyTimingModel, ClassCounts, InOrderScoreboard, InstrTiming, OutOfOrder, PipeStalls, Pipelined,
+    TimingModel, TimingObserver,
 };
 pub use trace::{Trace, TraceEntry, TraceObserver};

@@ -239,50 +239,6 @@ impl Simulator {
         Ok(make_report(obs.model(), instructions))
     }
 
-    /// [`Simulator::run_functional_decoded`] through the check-elided
-    /// verified loop.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_decoded_verified`].
-    pub fn run_functional_verified(
-        &mut self,
-        program: &DecodedProgram,
-        token: crate::analyze::Verified,
-    ) -> Result<u64, SimError> {
-        self.run_decoded_verified_with(program, &mut NullObserver, token)
-    }
-
-    /// [`Simulator::run_functional_verified`] with the trace compiler
-    /// disabled: the check-elided per-µop loop only. This is the PR 6
-    /// measurement baseline that `engine_throughput` reports fused-path
-    /// speedups against; functional results are bit-identical to the
-    /// traced path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_decoded_verified`].
-    pub fn run_functional_verified_untraced(
-        &mut self,
-        program: &DecodedProgram,
-        token: crate::analyze::Verified,
-    ) -> Result<u64, SimError> {
-        program.execute_verified_untraced(
-            &mut self.state,
-            &mut self.mem,
-            &mut NullObserver,
-            self.max_instructions,
-            token,
-        )
-    }
-
-    /// Splits the simulator into its architectural state and memory —
-    /// the sharded executor drives [`DecodedProgram`] range runs over
-    /// both halves while borrowing them simultaneously.
-    pub(crate) fn split_mut(&mut self) -> (&mut ArchState, &mut MainMemory) {
-        (&mut self.state, &mut self.mem)
-    }
-
     /// Core verified entry point: runs `program` check-elided under any
     /// [`Observer`].
     ///
@@ -684,7 +640,8 @@ mod tests {
         let mut f = sim();
         f.memory_mut().write_f32_slice(0x1000, &[1.5; 16]);
         assert_eq!(
-            f.run_functional_verified(&dp, token).unwrap(),
+            f.run_decoded_verified_with(&dp, &mut NullObserver, token)
+                .unwrap(),
             a.instructions
         );
     }

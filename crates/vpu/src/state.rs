@@ -12,8 +12,7 @@ use indexmac_isa::{Lmul, Sew, VReg, VType, XReg};
 /// 16 `e32` lanes — so reinterpretation across `vsetvli` changes comes
 /// for free, like it does in silicon.
 // `PartialEq` is bit-exact: FP registers are stored as raw bits (NaN
-// payloads included), so the sharded executor can use equality as its
-// checkpoint referee.
+// payloads included), so differential tests can compare whole states.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArchState {
     x: [u64; 32],
@@ -196,52 +195,6 @@ impl ArchState {
             i + regs
         );
         &mut self.vrf[i * self.vlen_bytes..(i + regs) * self.vlen_bytes]
-    }
-
-    /// Simultaneous (mutable destination, shared source) register-group
-    /// byte views — the in-place form of [`ArchState::v_group_bytes`]
-    /// for callers that have already proven the groups disjoint (the
-    /// fused-MAC precheck does).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either group runs past `v31` or the groups overlap.
-    pub fn v_group_pair_mut(
-        &mut self,
-        d: VReg,
-        d_regs: usize,
-        s: VReg,
-        s_regs: usize,
-    ) -> (&mut [u8], &[u8]) {
-        let vb = self.vlen_bytes;
-        let (di, si) = (d.index() as usize, s.index() as usize);
-        assert!(
-            di + d_regs <= 32 && si + s_regs <= 32,
-            "register group v{di}+{d_regs} / v{si}+{s_regs} out of range"
-        );
-        let (d0, d1) = (di * vb, (di + d_regs) * vb);
-        let (s0, s1) = (si * vb, (si + s_regs) * vb);
-        assert!(
-            d1 <= s0 || s1 <= d0,
-            "overlapping register groups v{di}+{d_regs} and v{si}+{s_regs}"
-        );
-        if d1 <= s0 {
-            let (lo, hi) = self.vrf.split_at_mut(s0);
-            (&mut lo[d0..d1], &hi[..s1 - s0])
-        } else {
-            let (lo, hi) = self.vrf.split_at_mut(d0);
-            (&mut hi[..d1 - d0], &lo[s0..s1])
-        }
-    }
-
-    /// Raw byte view of the whole vector register file (register-major,
-    /// `vlen_bytes` per register). The fused-MAC executor reads
-    /// multiplier/metadata lanes at precomputed offsets through it,
-    /// having already bounded the lane to a single register (its
-    /// `slot < VLMAX` guard) — everything else goes through the
-    /// asserting lane/group accessors.
-    pub(crate) fn vrf_bytes(&self) -> &[u8] {
-        &self.vrf
     }
 
     /// Lane `i` of the group of `regs` registers starting at `r`, viewed

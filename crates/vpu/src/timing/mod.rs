@@ -271,89 +271,6 @@ impl Observer for TimingObserver {
     }
 }
 
-/// A timing-free, **composable** [`Observer`]: per-class instruction
-/// counts, program-issued memory traffic and vector→scalar syncs —
-/// exactly the [`crate::RunReport`] fields that depend only on the
-/// event stream, never on sequential model state.
-///
-/// Unlike the timing backends it carries no caches or queues, so
-/// per-shard instances [`CountingObserver::merge`] into precisely the
-/// whole-run counts regardless of where the run was split — the
-/// property sharded execution (`crate::shard`) is built on. Cycle
-/// counts and cache hit rates are inherently sequential and therefore
-/// absent: [`CountingObserver::into_report`] leaves them zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountingObserver {
-    counts: ClassCounts,
-    mem: MemStats,
-    v2s: u64,
-}
-
-impl CountingObserver {
-    /// Per-class dynamic instruction counts so far.
-    pub fn counts(&self) -> ClassCounts {
-        self.counts
-    }
-
-    /// Program-issued memory traffic so far (one count per access, the
-    /// same accounting the memory hierarchy applies; the DRAM fields
-    /// stay zero — line traffic is cache-model state).
-    pub fn mem_stats(&self) -> MemStats {
-        self.mem
-    }
-
-    /// Vector→scalar synchronisations observed.
-    pub fn v2s_syncs(&self) -> u64 {
-        self.v2s
-    }
-
-    /// Accumulates another (later) shard's counts into this one.
-    pub fn merge(&mut self, other: &CountingObserver) {
-        for (i, v) in other.counts.0.iter().enumerate() {
-            self.counts.0[i] += v;
-        }
-        self.mem = self.mem.merged(&other.mem);
-        self.v2s += other.v2s;
-    }
-
-    /// Builds the counting-flavoured [`crate::RunReport`]: instruction
-    /// counts and program-issued traffic filled in, every sequential
-    /// metric (cycles, stalls, hit rates, DRAM lines) zero.
-    pub fn into_report(self, instructions: u64) -> crate::RunReport {
-        crate::RunReport {
-            cycles: 0,
-            instructions,
-            counts: self.counts,
-            mem: self.mem,
-            l1d_hit_rate: 0.0,
-            l2_hit_rate: 0.0,
-            engine_busy_cycles: 0,
-            vq_stall_cycles: 0,
-            rob_stall_cycles: 0,
-            v2s_syncs: self.v2s,
-        }
-    }
-}
-
-impl Observer for CountingObserver {
-    #[inline]
-    fn observe(&mut self, ev: &ExecEvent) {
-        let class = ev.instr.class();
-        self.counts.bump(class);
-        if class == InstrClass::VMvToScalar {
-            self.v2s += 1;
-        }
-        if let Some(op) = ev.mem {
-            match (op.vector, op.write) {
-                (false, false) => self.mem.scalar_loads += 1,
-                (false, true) => self.mem.scalar_stores += 1,
-                (true, false) => self.mem.vector_loads += 1,
-                (true, true) => self.mem.vector_stores += 1,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

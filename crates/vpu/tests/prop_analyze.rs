@@ -14,18 +14,25 @@
 //!   explicitly `Unprovable` / on the pinned imprecision allowlist
 //!   (the analyzer lost the value and had to assume the worst).
 //!
-//! Both properties run over two program distributions: the hostile
-//! generator from the engine differential suite (faults are common)
-//! and a tame, mostly-legal generator (clean verdicts are common), so
-//! neither implication is routinely vacuous. Run with
-//! `PROPTEST_CASES=64` (or more) in CI; the shim's deterministic
-//! per-test RNG makes failures reproducible.
+//! Whenever a token is minted, a third check runs the program through
+//! the check-elided engine ([`Simulator::run_decoded_verified`]) and the
+//! checked one ([`Simulator::run_decoded`]): outcome, `RunReport`,
+//! architectural state and a memory sample must be identical.
+//!
+//! The properties run over three program distributions: the hostile
+//! generator from the engine differential suite (faults are common), a
+//! tame, mostly-legal generator (clean verdicts are common), so neither
+//! implication is routinely vacuous, and the unrolled `vindexmac.vvi`
+//! block shape the kernel builders emit, over a patterned register file
+//! so the indirect sources vary. Run with `PROPTEST_CASES=64` (or more)
+//! in CI; the shim's deterministic per-test RNG makes failures
+//! reproducible.
 
 use indexmac_isa::instr::FReg;
 use indexmac_isa::{Instruction, Lmul, Program, ProgramBuilder, Sew, VReg, XReg};
 use indexmac_vpu::{
     analyze, Confidence, DecodedProgram, ExecError, NullObserver, Rule, Severity, SimConfig,
-    SimError, Simulator,
+    SimError, Simulator, Verified,
 };
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
@@ -228,6 +235,58 @@ fn tame_program() -> impl Strategy<Value = Program> {
     })
 }
 
+/// Unrolled IndexMAC blocks: `reps` identical blocks of `u`
+/// consecutive `vindexmac.vvi` + a counter `addi` + a fall-through
+/// `bne`, the shape the kernel builders emit per dynamic iteration.
+/// The patterned register file ([`warmed_vrf_sim`]) supplies the
+/// metadata, so the indirect sources (and their aliasing with the
+/// destinations) vary freely.
+fn mac_block_program() -> impl Strategy<Value = Program> {
+    (
+        1usize..5,
+        1u64..12,
+        exec_sew(),
+        0u8..3,
+        (20u8..24, 24u8..28),
+    )
+        .prop_map(|(u, reps, sew, dst_sel, (vs2_idx, vs1_idx))| {
+            // Destination group base, aligned to the widening factor so
+            // the block is legal at every SEW.
+            let vd = VReg::new(dst_sel * 4);
+            let vs2 = VReg::new(vs2_idx);
+            let vs1 = VReg::new(vs1_idx);
+            let mut b = ProgramBuilder::new();
+            b.li(XReg::A0, 4);
+            b.push(Instruction::Vsetvli {
+                rd: XReg::T0,
+                rs1: XReg::A0,
+                sew,
+                lmul: Lmul::M1,
+            });
+            b.li(XReg::T2, 100);
+            for r in 0..reps {
+                for q in 0..u {
+                    b.push(Instruction::VindexmacVvi {
+                        vd: VReg::new(vd.index() + (q as u8 % 2) * 4),
+                        vs2,
+                        vs1,
+                        slot: (r % 4) as u8,
+                    });
+                }
+                b.push(Instruction::Addi {
+                    rd: XReg::T2,
+                    rs1: XReg::T2,
+                    imm: -1,
+                });
+                let next = b.new_label();
+                b.bne(XReg::T2, XReg::ZERO, next);
+                b.bind(next);
+            }
+            b.halt();
+            b.build()
+        })
+}
+
 /// A simulator with patterned memory (the analyzer never models data,
 /// so interesting loaded values stress the "loaded scalars are
 /// unknown" abstraction).
@@ -239,6 +298,54 @@ fn warmed_sim() -> Simulator {
             .write_u8(0x1000 + i, (i as u8).wrapping_mul(31).wrapping_add(11));
     }
     sim
+}
+
+/// [`warmed_sim`] plus a patterned register file, so metadata lanes
+/// select varied indirect sources.
+fn warmed_vrf_sim() -> Simulator {
+    let mut sim = warmed_sim();
+    for r in 0..32u8 {
+        for lane in 0..16 {
+            sim.state_mut().set_v_lane(
+                VReg::new(r),
+                lane,
+                Sew::E32,
+                (r as u32)
+                    .wrapping_mul(0x0101_0013)
+                    .wrapping_add(lane as u32 * 0x2F),
+            );
+        }
+    }
+    sim
+}
+
+/// Runs `decoded` check-elided under `token` and through the checked
+/// engine on fresh simulators from `fresh`, asserting identical
+/// outcomes, reports, architectural state and memory.
+fn check_verified_matches_checked(
+    decoded: &DecodedProgram,
+    token: Verified,
+    fresh: fn() -> Simulator,
+) -> Result<(), TestCaseError> {
+    let mut verified = fresh();
+    let mut checked = fresh();
+    let fast = verified.run_decoded_verified(decoded, token);
+    let slow = checked.run_decoded(decoded);
+    prop_assert_eq!(fast, slow, "the token changed the run's outcome or report");
+    prop_assert_eq!(
+        verified.state(),
+        checked.state(),
+        "architectural state diverged"
+    );
+    for addr in (0x1000u64..0x5000).step_by(257) {
+        prop_assert_eq!(
+            verified.memory().read_u8(addr),
+            checked.memory().read_u8(addr),
+            "memory diverged at {:#x}",
+            addr
+        );
+    }
+    Ok(())
 }
 
 /// The analyzer rule that corresponds 1:1 to a concrete fault.
@@ -261,8 +368,10 @@ fn direct_rule(fault: &SimError) -> Rule {
     }
 }
 
-/// Runs both properties (and the token invariant) on one program.
-fn check_differential(p: &Program) -> Result<(), TestCaseError> {
+/// Runs both properties, the token invariant and, under a token, the
+/// verified-vs-checked engine comparison on one program, starting every
+/// simulator from `fresh`.
+fn check_differential(p: &Program, fresh: fn() -> Simulator) -> Result<(), TestCaseError> {
     let cfg = SimConfig::table_i();
     let decoded = DecodedProgram::decode(p);
     let analysis = analyze(&decoded, cfg.vlen_bits);
@@ -274,11 +383,12 @@ fn check_differential(p: &Program) -> Result<(), TestCaseError> {
             prop_assert_eq!(analysis.error_count(), 0);
             prop_assert_eq!(token.program_len(), p.len());
             prop_assert_eq!(token.vlen_bits(), cfg.vlen_bits);
+            check_verified_matches_checked(&decoded, token, fresh)?;
         }
         None => prop_assert!(analysis.error_count() > 0),
     }
 
-    let mut oracle = warmed_sim();
+    let mut oracle = fresh();
     let outcome = oracle.run_stepwise(p, &mut NullObserver);
     let fault = match &outcome {
         Ok(_) | Err(SimError::InstructionLimit { .. }) => None,
@@ -343,14 +453,22 @@ proptest! {
     /// exercises precision tracking (fault => flagged error).
     #[test]
     fn analyzer_matches_oracle_on_hostile_programs(p in hostile_program()) {
-        check_differential(&p)?;
+        check_differential(&p, warmed_sim)?;
     }
 
     /// Tame distribution: clean verdicts are common, so this mostly
     /// exercises soundness (clean => the oracle never faults).
     #[test]
     fn analyzer_matches_oracle_on_tame_programs(p in tame_program()) {
-        check_differential(&p)?;
+        check_differential(&p, warmed_sim)?;
+    }
+
+    /// Unrolled `vindexmac.vvi` blocks over a patterned register file:
+    /// clean verdicts are common, so this mostly exercises the
+    /// verified-vs-checked engine comparison on the kernels' MAC shape.
+    #[test]
+    fn analyzer_matches_oracle_on_mac_blocks(p in mac_block_program()) {
+        check_differential(&p, warmed_vrf_sim)?;
     }
 }
 
