@@ -7,13 +7,11 @@
 //!   the pinned BERT-FFN kernel (`3072x768x128`, the heaviest
 //!   transformer shape; the e8 quantized row and the f32 `m2` row of
 //!   the transformer campaign), through the legacy stepwise oracle
-//!   (`run_stepwise_timed`), the checked decoded engine
-//!   (`run_decoded`), and the check-elided verified path
-//!   (`run_decoded_verified`: the static analyzer proves the kernel
-//!   fault-free against the layout contract, mints a `Verified` token,
-//!   and the engine drops the per-µop legality checks). All three must
-//!   produce the same `RunReport`; the bench asserts it. Decode and
-//!   analysis are reported as one-time costs.
+//!   (`run_stepwise_timed`) and the decoded engine (`run_decoded`).
+//!   Both must produce the same `RunReport`; the bench asserts it.
+//!   Decode is reported as a one-time cost of every cold kernel; the
+//!   static analysis (`analyze_ms`) is the cost of linting the kernel,
+//!   which the simulation path does not pay.
 //! * **cells/sec** — a warm sweep: the same grid swept twice through
 //!   `indexmac::sweep::run_cells` on one thread, so the second pass
 //!   runs entirely against the decode-once `ProgramCache` and the
@@ -52,21 +50,11 @@ struct Row {
     analyze_ms: f64,
     stepwise_ns: f64,
     decoded_ns: f64,
-    verified_ns: f64,
 }
 
 impl Row {
     fn speedup(&self) -> f64 {
         self.stepwise_ns / self.decoded_ns
-    }
-
-    fn verified_speedup(&self) -> f64 {
-        self.stepwise_ns / self.verified_ns
-    }
-
-    /// What the `Verified` token buys on the timed path.
-    fn verified_gain(&self) -> f64 {
-        self.decoded_ns / self.verified_ns
     }
 
     fn ips(&self, ns: f64) -> f64 {
@@ -88,7 +76,6 @@ impl Row {
             ("analyze_ms", self.analyze_ms.to_value()),
             ("stepwise_timed_run_ns", self.stepwise_ns.to_value()),
             ("decoded_timed_run_ns", self.decoded_ns.to_value()),
-            ("verified_timed_run_ns", self.verified_ns.to_value()),
             (
                 "stepwise_instructions_per_sec",
                 self.ips(self.stepwise_ns).to_value(),
@@ -97,22 +84,13 @@ impl Row {
                 "decoded_instructions_per_sec",
                 self.ips(self.decoded_ns).to_value(),
             ),
-            (
-                "verified_instructions_per_sec",
-                self.ips(self.verified_ns).to_value(),
-            ),
             ("speedup", self.speedup().to_value()),
-            ("verified_speedup", self.verified_speedup().to_value()),
-            (
-                "verified_gain_over_checked",
-                self.verified_gain().to_value(),
-            ),
         ])
     }
 }
 
 /// Builds the pinned-shape `vindexmac.vvi` kernel at one precision and
-/// times a run through each of the three timed paths.
+/// times a run through each of the two timed paths.
 fn measure_row(
     label: &'static str,
     precision: Precision,
@@ -150,14 +128,13 @@ fn measure_row(
     let decoded = DecodedProgram::decode(&program);
     let decode_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Static analysis is a one-time cost like decoding: prove the
-    // kernel fault-free against the layout contract, mint the token.
+    // What linting this kernel costs: prove it fault-free against the
+    // layout contract. No simulation path runs the analyzer.
     let t0 = Instant::now();
     let vlen_bits = layout.vl * layout.elem.bits();
-    let token = analyze_with_contract(&decoded, vlen_bits, Some(&layout.analysis_contract()))
-        .verified()
-        .expect("pinned kernel analyzes clean");
+    let analysis = analyze_with_contract(&decoded, vlen_bits, Some(&layout.analysis_contract()));
     let analyze_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert!(analysis.is_clean(), "pinned kernel analyzes clean");
 
     let mut sim = Simulator::new(sim_cfg);
     layout.write_operands(&a, &b, sim.memory_mut());
@@ -165,7 +142,7 @@ fn measure_row(
     // Warm-up, and the report every path must reproduce.
     let report = sim.run_decoded(&decoded).expect("pinned kernel executes");
 
-    // The three paths are interleaved within each iteration (rather
+    // The two paths are interleaved within each iteration (rather
     // than measured in back-to-back blocks) so slow drift of the
     // host — CPU frequency, steal time — lands on all of them equally.
     // Each path reports its *minimum* over the iterations: on a shared
@@ -174,7 +151,6 @@ fn measure_row(
     // spike in one path skew every ratio).
     let mut stepwise_s = f64::INFINITY;
     let mut decoded_s = f64::INFINITY;
-    let mut verified_s = f64::INFINITY;
     for _ in 0..iters {
         let t = Instant::now();
         let r = sim
@@ -186,12 +162,6 @@ fn measure_row(
         let r = sim.run_decoded(&decoded).expect("decoded engine executes");
         decoded_s = decoded_s.min(t.elapsed().as_secs_f64());
         assert_eq!(r, report, "decoded engine diverged");
-        let t = Instant::now();
-        let r = sim
-            .run_decoded_verified(&decoded, token)
-            .expect("verified engine executes");
-        verified_s = verified_s.min(t.elapsed().as_secs_f64());
-        assert_eq!(r, report, "verified engine diverged");
     }
 
     Row {
@@ -205,7 +175,6 @@ fn measure_row(
         analyze_ms,
         stepwise_ns: stepwise_s * 1e9,
         decoded_ns: decoded_s * 1e9,
-        verified_ns: verified_s * 1e9,
     }
 }
 
@@ -274,7 +243,7 @@ fn main() {
         measure_row("bert-ffn-f32-m2", Precision::F32, 2, dims, iters),
     ];
     println!(
-        "{:<18} {:>4} {:>4} {:>12} {:>10} {:>10} {:>11} {:>11} {:>11} {:>8} {:>9} {:>13}",
+        "{:<18} {:>4} {:>4} {:>12} {:>10} {:>10} {:>11} {:>11} {:>8} {:>12}",
         "row",
         "sew",
         "lmul",
@@ -283,14 +252,12 @@ fn main() {
         "analyze ms",
         "stepwise ms",
         "decoded ms",
-        "verified ms",
         "speedup",
-        "verified",
-        "verified Mi/s"
+        "decoded Mi/s"
     );
     for r in &rows {
         println!(
-            "{:<18} {:>4} {:>4} {:>12} {:>10.1} {:>10.1} {:>11.2} {:>11.2} {:>11.2} {:>7.2}x {:>8.3}x {:>13.1}",
+            "{:<18} {:>4} {:>4} {:>12} {:>10.1} {:>10.1} {:>11.2} {:>11.2} {:>7.2}x {:>12.1}",
             r.label,
             format!("e{}", r.sew_bits),
             format!("m{}", r.lmul),
@@ -299,10 +266,8 @@ fn main() {
             r.analyze_ms,
             r.stepwise_ns / 1e6,
             r.decoded_ns / 1e6,
-            r.verified_ns / 1e6,
             r.speedup(),
-            r.verified_gain(),
-            r.ips(r.verified_ns) / 1e6,
+            r.ips(r.decoded_ns) / 1e6,
         );
     }
 
@@ -328,7 +293,6 @@ fn main() {
     println!(
         "expected: the decoded engine's timed run is several times faster than the stepwise \
          loop (per-step re-decode and re-validation are gone, vector ops run on whole \
-         register-group slices); `verified` is the decoded/verified time ratio, the gain \
-         of the check-elided path (a few percent at most: the timing model dominates)"
+         register-group slices); `analyze ms` is a lint-only cost, off the simulation path"
     );
 }

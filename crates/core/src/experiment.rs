@@ -5,7 +5,7 @@ use indexmac_kernels::{
 };
 use indexmac_models::{GemmCaps, Model, ModelLayer};
 use indexmac_sparse::{prune, quant, DenseMatrix, NmPattern, StructuredSparseMatrix};
-use indexmac_vpu::{DecodedProgram, RunReport, SimConfig, Simulator, Verified};
+use indexmac_vpu::{DecodedProgram, RunReport, SimConfig, Simulator};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::error::Error;
@@ -331,20 +331,10 @@ impl fmt::Display for DecodeCacheStats {
 /// one block geometry across layers; both now decode each distinct
 /// kernel exactly once per worker thread.
 struct ProgramCache {
-    entries: VecDeque<(Algorithm, GemmLayout, KernelParams, CachedKernel)>,
+    entries: VecDeque<(Algorithm, GemmLayout, KernelParams, Rc<DecodedProgram>)>,
     resident_uops: usize,
     max_uops: usize,
     stats: DecodeCacheStats,
-}
-
-/// A cached predecoded kernel together with its static-analysis token.
-/// Shipped builders always analyze clean, so `token` is `Some` in
-/// practice and runs take the check-elided fast path; `None` falls
-/// back to the fully checked engine.
-#[derive(Clone)]
-struct CachedKernel {
-    program: Rc<DecodedProgram>,
-    token: Option<Verified>,
 }
 
 /// Bound on the total static instructions the cache may keep resident
@@ -373,7 +363,7 @@ impl ProgramCache {
         algorithm: Algorithm,
         layout: &GemmLayout,
         params: &KernelParams,
-    ) -> Result<CachedKernel, ExperimentError> {
+    ) -> Result<Rc<DecodedProgram>, ExperimentError> {
         if let Some((.., cached)) = self
             .entries
             .iter()
@@ -381,36 +371,24 @@ impl ProgramCache {
         {
             self.stats.hits += 1;
             self.stats.entries = self.entries.len();
-            return Ok(cached.clone());
+            return Ok(Rc::clone(cached));
         }
         self.stats.misses += 1;
         let program = Rc::new(DecodedProgram::decode(&build_kernel(
             algorithm, layout, params,
         )?));
-        // Analyze once at build time, alongside the one-time decode:
-        // every subsequent run of this cached kernel executes with the
-        // per-µop fault checks elided.
-        let vlen_bits = layout.vl * layout.elem.bits();
-        let token = indexmac_vpu::analyze_with_contract(
-            &program,
-            vlen_bits,
-            Some(&layout.analysis_contract()),
-        )
-        .verified();
-        debug_assert!(token.is_some(), "shipped kernels must analyze clean");
-        let cached = CachedKernel { program, token };
-        self.resident_uops += cached.program.len();
+        self.resident_uops += program.len();
         self.entries
-            .push_back((algorithm, layout.clone(), *params, cached.clone()));
+            .push_back((algorithm, layout.clone(), *params, Rc::clone(&program)));
         // FIFO eviction down to the µop budget (never evicting the
         // entry just inserted).
         while self.resident_uops > self.max_uops && self.entries.len() > 1 {
             let (.., evicted) = self.entries.pop_front().expect("len > 1");
-            self.resident_uops -= evicted.program.len();
+            self.resident_uops -= evicted.len();
             self.stats.evictions += 1;
         }
         self.stats.entries = self.entries.len();
-        Ok(cached)
+        Ok(program)
     }
 }
 
@@ -480,14 +458,9 @@ pub fn run_gemm(
     let (layout, params) = plan_kernel(algorithm, &a, capped.cols, cfg)?;
     let run = EXEC_CTX.with(|ctx| {
         let ctx = &mut *ctx.borrow_mut();
-        let kernel = ctx.cache.get_or_build(algorithm, &layout, &params)?;
+        let program = ctx.cache.get_or_build(algorithm, &layout, &params)?;
         let sim = ctx.simulator(&cfg.sim, cfg.max_instructions);
-        let run = match kernel.token {
-            Some(token) => {
-                verify::run_decoded_kernel_verified(sim, &kernel.program, token, &a, &b, &layout)?
-            }
-            None => verify::run_decoded_kernel(sim, &kernel.program, &a, &b, &layout)?,
-        };
+        let run = verify::run_decoded_kernel(sim, &program, &a, &b, &layout)?;
         if cfg.verify && algorithm != Algorithm::Dense {
             if layout.elem.is_int() {
                 verify::check_int_exact(&run, &a, &b)?;
@@ -527,7 +500,7 @@ pub struct LintResult {
     pub lmul: usize,
     /// Static program length in instructions.
     pub static_instructions: usize,
-    /// Whether the analysis minted a check-elision token (zero errors).
+    /// Whether the kernel analyzed clean (zero error-class diagnostics).
     pub verified: bool,
     /// Every finding, ordered by pc.
     pub diagnostics: Vec<indexmac_vpu::Diagnostic>,
@@ -1203,7 +1176,7 @@ mod tests {
         assert_eq!((cache.stats.misses, cache.stats.evictions), (1, 0));
         // Budget = exactly the first entry: every later insertion must
         // evict the oldest resident entry, oldest-first.
-        cache.max_uops = first.program.len();
+        cache.max_uops = first.len();
         for (layout, params) in &keys[1..] {
             cache
                 .get_or_build(Algorithm::IndexMac2, layout, params)
@@ -1222,7 +1195,7 @@ mod tests {
             .get_or_build(Algorithm::IndexMac2, &keys[0].0, &keys[0].1)
             .unwrap();
         assert_eq!((cache.stats.hits, cache.stats.evictions), (1, 3));
-        let resident: usize = cache.entries.iter().map(|(.., k)| k.program.len()).sum();
+        let resident: usize = cache.entries.iter().map(|(.., k)| k.len()).sum();
         assert_eq!(cache.resident_uops, resident, "accounting stays exact");
         // The entry just inserted is never evicted, even over budget.
         cache.max_uops = 0;

@@ -4,7 +4,7 @@
 use crate::layout::GemmLayout;
 use indexmac_isa::Program;
 use indexmac_sparse::{quant, DenseMatrix, IntMatrix, StructuredSparseMatrix};
-use indexmac_vpu::{Analysis, DecodedProgram, RunReport, SimConfig, SimError, Simulator, Verified};
+use indexmac_vpu::{Analysis, DecodedProgram, RunReport, SimConfig, SimError, Simulator};
 use std::error::Error;
 use std::fmt;
 
@@ -155,35 +155,11 @@ pub fn run_decoded_kernel(
     Ok(read_back(sim, layout, report, program.len()))
 }
 
-/// [`run_decoded_kernel`] through the **check-elided fast path**: the
-/// caller presents a [`Verified`] token minted by the static analyzer
-/// for this exact program and VLEN (see [`analyze_kernel`]), and the
-/// engine skips the per-µop fault checks the analysis already proved
-/// can never fire. Results are bit-identical to the checked path.
-///
-/// # Errors
-///
-/// Returns [`VerifyError::ShapeMismatch`] on inconsistent operands and
-/// [`VerifyError::Sim`] on simulator faults (resource limits — the
-/// token rules out architectural faults).
-pub fn run_decoded_kernel_verified(
-    sim: &mut Simulator,
-    program: &DecodedProgram,
-    token: Verified,
-    a: &StructuredSparseMatrix,
-    b: &DenseMatrix,
-    layout: &GemmLayout,
-) -> Result<KernelRun, VerifyError> {
-    place_operands(sim, a, b, layout)?;
-    let report = sim.run_decoded_verified(program, token)?;
-    Ok(read_back(sim, layout, report, program.len()))
-}
-
 /// Statically analyzes a decoded kernel against its layout's memory
-/// contract at the configuration's VLEN. `.verified()` on the result
-/// yields the [`Verified`] token the fast path consumes; a shipped
-/// builder's program always mints one (enforced in debug builds by
-/// emission itself).
+/// contract at the configuration's VLEN, without running it. This is
+/// what `lint` reports; no simulation path consults it. A shipped
+/// builder's program always analyzes clean (`.verified()` is `Some`),
+/// which emission itself enforces in debug builds.
 pub fn analyze_kernel(program: &DecodedProgram, layout: &GemmLayout, cfg: &SimConfig) -> Analysis {
     indexmac_vpu::analyze_with_contract(program, cfg.vlen_bits, Some(&layout.analysis_contract()))
 }
@@ -758,8 +734,8 @@ mod tests {
     }
 
     #[test]
-    fn verified_fast_path_is_bit_identical_and_all_builders_mint_tokens() {
-        let (a, b, layout) = fixture(6, 32, 20, NmPattern::P2_4, 90);
+    fn every_builder_analyzes_clean_and_mints_a_token() {
+        let (.., layout) = fixture(6, 32, 20, NmPattern::P2_4, 90);
         let builds: Vec<(&str, Program)> = vec![
             (
                 "dense",
@@ -782,7 +758,6 @@ mod tests {
                 indexmac2::build(&layout, &KernelParams::default()).unwrap(),
             ),
         ];
-        let mut sim = Simulator::new(cfg());
         for (name, p) in &builds {
             let decoded = DecodedProgram::decode(p);
             let analysis = analyze_kernel(&decoded, &layout, &cfg());
@@ -792,11 +767,8 @@ mod tests {
                 analysis.diagnostics()
             );
             let token = analysis.verified().expect("clean analysis mints a token");
-            let fast = run_decoded_kernel_verified(&mut sim, &decoded, token, &a, &b, &layout)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let checked = run_decoded_kernel(&mut sim, &decoded, &a, &b, &layout).unwrap();
-            assert_eq!(fast.report, checked.report, "{name}: reports must match");
-            assert_eq!(fast.c.as_slice(), checked.c.as_slice(), "{name}");
+            assert_eq!(token.program_len(), p.len(), "{name}");
+            assert_eq!(token.vlen_bits(), cfg().vlen_bits, "{name}");
         }
     }
 

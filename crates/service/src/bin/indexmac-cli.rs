@@ -75,7 +75,7 @@ enum Command {
     List { model: String },
     /// Run the static µop-program analyzer over kernel builds and print
     /// the diagnostics (empty output = every config is provably
-    /// fault-free and mints a check-elision token).
+    /// fault-free).
     Lint {
         /// `None` lints every shipped kernel.
         algorithm: Option<Algorithm>,

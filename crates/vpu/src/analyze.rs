@@ -14,9 +14,11 @@
 //!
 //! The result is a [`Vec<Diagnostic>`] (severity, confidence, pc, rule
 //! id, fix hint). A program with **zero error-class diagnostics** earns
-//! a [`Verified`] token, which [`crate::engine::DecodedProgram::execute_verified`]
-//! trades for a check-elided hot loop — the stepwise oracle still pins
-//! bit-identical results in differential tests.
+//! a [`Verified`] token, the record that it analyzed clean. The analyzer
+//! runs off the simulation path: it backs the CLI `lint` subcommand, the
+//! kernel builders' debug self-check after emission, and CI. The engine
+//! keeps every dynamic check, so nothing it executes depends on a
+//! verdict.
 //!
 //! # Soundness
 //!
@@ -294,8 +296,8 @@ pub struct AnalysisContract {
 
 /// Proof that a specific program (by length) analyzed with zero
 /// error-class diagnostics at a specific VLEN. Only this module can
-/// mint one; [`crate::engine::DecodedProgram::execute_verified`]
-/// accepts it in exchange for eliding the per-µop fault checks.
+/// mint one. It records a clean verdict; it does not change how the
+/// engine runs the program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Verified {
     program_len: usize,
@@ -346,7 +348,7 @@ impl Analysis {
         self.diagnostics.len() - self.error_count()
     }
 
-    /// The check-elision token, minted only for clean programs.
+    /// The clean-verdict token, minted only for clean programs.
     pub fn verified(&self) -> Option<Verified> {
         if self.is_clean() {
             Some(Verified {

@@ -3,11 +3,9 @@
 //! The legacy [`crate::exec::step`] interpreter re-derives everything
 //! from the [`Instruction`] enum on **every dynamic instruction**:
 //! operand fields are re-unpacked, grouping support and e32-only rules
-//! are re-matched, branch offsets are re-added to the PC, and a full
-//! [`ExecEvent`] is materialised even when nobody consumes it
-//! (`run_functional`). With sweeps spanning (pattern × dims × SEW ×
-//! LMUL × kernel × model) grids, that per-step overhead *is* the
-//! repository's hot path.
+//! are re-matched, and branch offsets are re-added to the PC. With
+//! sweeps spanning (pattern × dims × SEW × LMUL × kernel × model)
+//! grids, that per-step overhead *is* the repository's hot path.
 //!
 //! [`DecodedProgram`] moves all of it to decode time, once per program:
 //!
@@ -26,18 +24,19 @@
 //!   (one borrow per instruction) and page-chunked memory transfers
 //!   instead of per-lane accessor calls.
 //!
-//! Execution is observed through the [`Observer`] trait. The engine is
-//! generic over it, and [`NullObserver`] advertises at compile time
-//! that events are unwanted, so the functional path monomorphizes to a
-//! loop that never builds an [`ExecEvent`] at all. The legacy `step()`
-//! interpreter is kept verbatim as the **oracle**: cold µops fall back
-//! to it, and `crates/vpu/tests/prop_engine.rs` differentially tests
-//! the two paths for identical architectural state, reports and faults.
+//! There is one fetch loop, and it keeps every fault check the oracle
+//! makes. Execution is observed through the [`Observer`] trait; the
+//! engine is generic over it, so the timing path
+//! ([`crate::TimingObserver`]) gets its own monomorphized loop. The
+//! legacy `step()` interpreter is kept verbatim as the **oracle**: cold
+//! µops fall back to it, and `crates/vpu/tests/prop_engine.rs`
+//! differentially tests the two paths for identical architectural
+//! state, reports and faults.
 
-use crate::analyze::Verified;
 use crate::checks::{
-    check_e32_only, check_element_width, check_group, check_grouping_supported,
-    check_sew_supported, check_slot, check_vector_alignment, check_widening_dst, group_regs,
+    check_branch_target, check_e32_only, check_element_width, check_group,
+    check_grouping_supported, check_sew_supported, check_slot, check_vector_alignment,
+    check_widening_dst, group_regs,
 };
 use crate::exec::{step, ExecEvent, MemOp};
 use crate::sim::SimError;
@@ -49,27 +48,19 @@ use indexmac_mem::MainMemory;
 /// Observes the dynamic instruction stream of an engine run.
 ///
 /// The engine is generic over the observer, so each implementation gets
-/// its own monomorphized loop: the timing path ([`crate::TimingObserver`])
-/// compiles to exactly the old closure-based loop, while
-/// [`NullObserver`] — with [`Observer::WANTS_EVENTS`] `false` — compiles
-/// to a loop with no event construction whatsoever.
+/// its own monomorphized loop; the engine hands every observer one
+/// [`ExecEvent`] per retired instruction.
 pub trait Observer {
-    /// Whether the engine must materialise an [`ExecEvent`] per dynamic
-    /// instruction. `false` lets the functional path skip all event
-    /// bookkeeping (the compiler removes the dead branches).
-    const WANTS_EVENTS: bool = true;
-
     /// Called once per retired dynamic instruction, in program order.
     fn observe(&mut self, ev: &ExecEvent);
 }
 
-/// Observer of the functional path: wants nothing, sees nothing.
+/// An observer that ignores every event (tests that need only the
+/// architectural result).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 
 impl Observer for NullObserver {
-    const WANTS_EVENTS: bool = false;
-
     #[inline]
     fn observe(&mut self, _ev: &ExecEvent) {}
 }
@@ -472,59 +463,9 @@ impl DecodedProgram {
         obs: &mut O,
         max_instructions: u64,
     ) -> Result<u64, SimError> {
-        self.execute_impl::<O, true>(state, mem, obs, max_instructions)
-    }
-
-    /// Runs the program with the statically-provable fault checks
-    /// compiled out: element-width agreement, alignment, grouping
-    /// support, widening-destination legality, slot ranges and branch
-    /// ranges are elided, because the [`Verified`] token witnesses that
-    /// [`crate::analyze`] proved them for every reachable slot. The
-    /// *data-dependent* indirect-source group check of the IndexMAC
-    /// µops is retained (its operand comes from memory), as are the
-    /// fetch bound ([`SimError::FellOffEnd`]) and the instruction
-    /// limit, so results stay bit-identical to [`DecodedProgram::execute`]
-    /// on any program the analyzer accepts.
-    ///
-    /// `token` must come from analyzing **this** program at the same
-    /// VLEN (debug builds assert both).
-    ///
-    /// # Errors
-    ///
-    /// The retained conditions above; see [`DecodedProgram::execute`].
-    pub fn execute_verified<O: Observer>(
-        &self,
-        state: &mut ArchState,
-        mem: &mut MainMemory,
-        obs: &mut O,
-        max_instructions: u64,
-        token: Verified,
-    ) -> Result<u64, SimError> {
-        debug_assert_eq!(
-            token.program_len(),
-            self.len(),
-            "Verified token minted for a different program"
-        );
-        debug_assert_eq!(
-            token.vlen_bits(),
-            state.vlen_bits(),
-            "Verified token minted for a different VLEN"
-        );
-        self.execute_impl::<O, false>(state, mem, obs, max_instructions)
-    }
-
-    /// The fetch loop behind both entry points. Retirement semantics
-    /// match the stepwise oracle bit-for-bit: at least one instruction
-    /// executes (even at `max_instructions == 0`, because the limit is
-    /// checked only *after* executing), and a program that halts exactly
-    /// on the limit succeeds.
-    fn execute_impl<O: Observer, const CHECKED: bool>(
-        &self,
-        state: &mut ArchState,
-        mem: &mut MainMemory,
-        obs: &mut O,
-        max_instructions: u64,
-    ) -> Result<u64, SimError> {
+        // Retirement semantics match the stepwise oracle bit-for-bit: at
+        // least one instruction executes (even at `max_instructions ==
+        // 0`, because the limit is checked only *after* executing).
         state.pc = 0;
         state.halted = false;
         let mut instret: u64 = 0;
@@ -533,7 +474,7 @@ impl DecodedProgram {
             let Some(uop) = self.uops.get(pc) else {
                 return Err(SimError::FellOffEnd { pc });
             };
-            self.exec_uop::<O, CHECKED>(state, mem, obs, pc, uop)?;
+            self.exec_uop(state, mem, obs, pc, uop)?;
             instret += 1;
             if instret >= max_instructions && !state.halted {
                 return Err(SimError::InstructionLimit {
@@ -546,11 +487,9 @@ impl DecodedProgram {
 
     /// Executes one µop, advancing `state.pc`. Split out of the fetch
     /// loop so each observer's monomorphization stays readable in
-    /// profiles. With `CHECKED = false` (the [`Verified`] path) the
-    /// statically-proven fault branches compile out; each elision keeps
-    /// a `debug_assert` so test builds still catch a mis-minted token.
+    /// profiles.
     #[inline]
-    fn exec_uop<O: Observer, const CHECKED: bool>(
+    fn exec_uop<O: Observer>(
         &self,
         state: &mut ArchState,
         mem: &mut MainMemory,
@@ -558,17 +497,12 @@ impl DecodedProgram {
         pc: usize,
         uop: &Uop,
     ) -> Result<(), SimError> {
-        // Event context, only composed when the observer wants events
-        // (the stores below are dead — and removed — otherwise).
+        // Event context for the observer.
         let mut mem_op: Option<MemOp> = None;
         let mut indirect: Option<VReg> = None;
         let mut taken = false;
-        let mut ev_vl = 0usize;
-        let mut ev_sew = Sew::E32;
-        if O::WANTS_EVENTS {
-            ev_vl = state.vl();
-            ev_sew = state.vtype().sew;
-        }
+        let mut ev_vl = state.vl();
+        let mut ev_sew = state.vtype().sew;
         let mut next_pc = pc + 1;
 
         match *uop {
@@ -637,25 +571,25 @@ impl DecodedProgram {
             Uop::Beq { rs1, rs2, target } => {
                 if state.x(rs1) == state.x(rs2) {
                     taken = true;
-                    next_pc = checked_target::<CHECKED>(target)?;
+                    next_pc = checked_target(target)?;
                 }
             }
             Uop::Bne { rs1, rs2, target } => {
                 if state.x(rs1) != state.x(rs2) {
                     taken = true;
-                    next_pc = checked_target::<CHECKED>(target)?;
+                    next_pc = checked_target(target)?;
                 }
             }
             Uop::Blt { rs1, rs2, target } => {
                 if (state.x(rs1) as i64) < (state.x(rs2) as i64) {
                     taken = true;
-                    next_pc = checked_target::<CHECKED>(target)?;
+                    next_pc = checked_target(target)?;
                 }
             }
             Uop::Bge { rs1, rs2, target } => {
                 if (state.x(rs1) as i64) >= (state.x(rs2) as i64) {
                     taken = true;
-                    next_pc = checked_target::<CHECKED>(target)?;
+                    next_pc = checked_target(target)?;
                 }
             }
             Uop::Jal { rd, target } => {
@@ -663,16 +597,12 @@ impl DecodedProgram {
                 // oracle (a faulting jal leaves rd written).
                 state.set_x(rd, (pc + 1) as u64);
                 taken = true;
-                next_pc = checked_target::<CHECKED>(target)?;
+                next_pc = checked_target(target)?;
             }
             Uop::Nop => {}
             Uop::Halt => state.halted = true,
             Uop::Vsetvli { rd, rs1, sew, lmul } => {
-                if CHECKED {
-                    check_sew_supported(pc, sew)?;
-                } else {
-                    debug_assert_ne!(sew, Sew::E64, "verified program selected e64");
-                }
+                check_sew_supported(pc, sew)?;
                 state.set_vtype(indexmac_isa::VType { sew, lmul });
                 let vlmax = state.vlmax_grouped();
                 let avl = if rs1.is_zero() {
@@ -696,15 +626,9 @@ impl DecodedProgram {
                 let addr = state.x(rs1);
                 let vl = state.vl();
                 let regs = group_regs(vl, state.vlmax());
-                if CHECKED {
-                    check_element_width(pc, sew, ew)?;
-                    check_vector_alignment(pc, addr, eb as u64)?;
-                    check_group(pc, vd, regs)?;
-                } else {
-                    debug_assert_eq!(sew, ew, "verified load width drifted");
-                    debug_assert!(addr.is_multiple_of(eb as u64));
-                    debug_assert!(vd.index() as usize + regs <= 32);
-                }
+                check_element_width(pc, sew, ew)?;
+                check_vector_alignment(pc, addr, eb as u64)?;
+                check_group(pc, vd, regs)?;
                 let dst = state.v_group_bytes_mut(vd, regs);
                 mem.read_slice(addr, &mut dst[..vl * eb]);
                 mem_op = Some(MemOp {
@@ -720,15 +644,9 @@ impl DecodedProgram {
                 let addr = state.x(rs1);
                 let vl = state.vl();
                 let regs = group_regs(vl, state.vlmax());
-                if CHECKED {
-                    check_element_width(pc, sew, ew)?;
-                    check_vector_alignment(pc, addr, eb as u64)?;
-                    check_group(pc, vs3, regs)?;
-                } else {
-                    debug_assert_eq!(sew, ew, "verified store width drifted");
-                    debug_assert!(addr.is_multiple_of(eb as u64));
-                    debug_assert!(vs3.index() as usize + regs <= 32);
-                }
+                check_element_width(pc, sew, ew)?;
+                check_vector_alignment(pc, addr, eb as u64)?;
+                check_group(pc, vs3, regs)?;
                 let src = state.v_group_bytes(vs3, regs);
                 mem.write_slice(addr, &src[..vl * eb]);
                 mem_op = Some(MemOp {
@@ -741,15 +659,10 @@ impl DecodedProgram {
             Uop::VfmaccVf { vd, fs1, vs2 } => {
                 let vl = state.vl();
                 let sew = state.vtype().sew;
-                if CHECKED {
-                    // Not group-aware: the oracle faults on grouping
-                    // before the element-width rule.
-                    check_grouping_supported(pc, vl, state.vlmax())?;
-                    check_e32_only(pc, sew)?;
-                } else {
-                    debug_assert!(vl <= state.vlmax());
-                    debug_assert_eq!(sew, Sew::E32);
-                }
+                // Not group-aware: the oracle faults on grouping before
+                // the element-width rule.
+                check_grouping_supported(pc, vl, state.vlmax())?;
+                check_e32_only(pc, sew)?;
                 let s = state.f32(fs1);
                 let mut buf = [0u8; MAX_GROUP_BYTES];
                 buf[..vl * 4].copy_from_slice(&state.v_bytes(vs2)[..vl * 4]);
@@ -763,55 +676,43 @@ impl DecodedProgram {
             }
             Uop::VindexmacVx { vd, vs2, rs } => {
                 let sew = state.vtype().sew;
-                if CHECKED {
-                    // Unlike `.vvi`, the first-generation MAC has no
-                    // register-grouping semantics (the oracle's
-                    // `group_aware` list excludes it).
-                    check_grouping_supported(pc, state.vl(), state.vlmax())?;
-                } else {
-                    debug_assert!(state.vl() <= state.vlmax());
-                }
+                // Unlike `.vvi`, the first-generation MAC has no
+                // register-grouping semantics (the oracle's `group_aware`
+                // list excludes it).
+                check_grouping_supported(pc, state.vl(), state.vlmax())?;
                 let src = VReg::new((state.x(rs) & 0x1F) as u8);
                 let multiplier_bits = state.v_lane(vs2, 0, sew);
-                indexmac_body::<CHECKED>(state, pc, vd, src, multiplier_bits, sew)?;
+                indexmac_body(state, pc, vd, src, multiplier_bits, sew)?;
                 indirect = Some(src);
             }
             Uop::VindexmacVvi { vd, vs2, vs1, slot } => {
                 let sew = state.vtype().sew;
-                if CHECKED {
-                    check_slot(pc, slot, state.vlmax())?;
-                } else {
-                    debug_assert!((slot as usize) < state.vlmax());
-                }
+                check_slot(pc, slot, state.vlmax())?;
                 let slot = slot as usize;
                 let src = VReg::new((state.v_lane(vs1, slot, sew) & 0x1F) as u8);
                 let multiplier_bits = state.v_lane(vs2, slot, sew);
-                indexmac_body::<CHECKED>(state, pc, vd, src, multiplier_bits, sew)?;
+                indexmac_body(state, pc, vd, src, multiplier_bits, sew)?;
                 indirect = Some(src);
             }
             Uop::Step => {
                 // Cold path: run the oracle interpreter for this one
                 // instruction (it advances state.pc itself).
                 let ev = step(state, mem, &self.instrs[pc])?;
-                if O::WANTS_EVENTS {
-                    obs.observe(&ev);
-                }
+                obs.observe(&ev);
                 return Ok(());
             }
         }
 
         state.pc = next_pc;
-        if O::WANTS_EVENTS {
-            obs.observe(&ExecEvent {
-                pc,
-                instr: self.instrs[pc],
-                mem: mem_op,
-                indirect_vreg: indirect,
-                branch_taken: taken,
-                vl: ev_vl,
-                sew: ev_sew,
-            });
-        }
+        obs.observe(&ExecEvent {
+            pc,
+            instr: self.instrs[pc],
+            mem: mem_op,
+            indirect_vreg: indirect,
+            branch_taken: taken,
+            vl: ev_vl,
+            sew: ev_sew,
+        });
         Ok(())
     }
 }
@@ -828,16 +729,10 @@ fn scalar_mem(addr: u64, bytes: u64, write: bool) -> MemOp {
 
 /// Validates a precomputed absolute branch target, mirroring the
 /// oracle's `next_pc < 0` rule (over-the-end targets surface later as
-/// `FellOffEnd`, exactly like the oracle). The verified path
-/// (`CHECKED = false`) compiles the branch out: the analyzer proved
-/// every reachable target non-negative.
+/// `FellOffEnd`, exactly like the oracle).
 #[inline]
-fn checked_target<const CHECKED: bool>(target: i64) -> Result<usize, SimError> {
-    if CHECKED {
-        crate::checks::check_branch_target(target)?;
-    } else {
-        debug_assert!(target >= 0, "verified program branched below slot 0");
-    }
+fn checked_target(target: i64) -> Result<usize, SimError> {
+    check_branch_target(target)?;
     Ok(target as usize)
 }
 
@@ -849,14 +744,7 @@ fn le32(bytes: &[u8], off: usize) -> u32 {
 /// The shared MAC body of both IndexMAC µops — bit-for-bit the oracle's
 /// `exec_indexmac_body`, restructured to borrow each register group's
 /// bytes once instead of per lane.
-///
-/// The indirect-source group check is retained even on the verified
-/// path (`CHECKED = false`): the selected register comes from runtime
-/// data (scalar register or metadata lane), so the analyzer can only
-/// vouch for it through a layout contract — the one data-dependent rule
-/// stays a real branch. The *destination* checks (widening alignment,
-/// group ranges over a decode-time-constant base) do compile out.
-fn indexmac_body<const CHECKED: bool>(
+fn indexmac_body(
     state: &mut ArchState,
     pc: usize,
     vd: VReg,
@@ -871,11 +759,7 @@ fn indexmac_body<const CHECKED: bool>(
     let mut buf = [0u8; MAX_GROUP_BYTES];
     buf[..vl * info.bytes].copy_from_slice(&state.v_group_bytes(src, regs)[..vl * info.bytes]);
     if sew == Sew::E32 {
-        if CHECKED {
-            check_group(pc, vd, regs)?;
-        } else {
-            debug_assert!(vd.index() as usize + regs <= 32);
-        }
+        check_group(pc, vd, regs)?;
         let m = f32::from_bits(multiplier_bits);
         let dst = state.v_group_bytes_mut(vd, regs);
         for i in 0..vl {
@@ -887,16 +771,8 @@ fn indexmac_body<const CHECKED: bool>(
     } else {
         // Widening integer MAC: i8/i16 operands, i32 accumulation, the
         // destination group `widen`× the source EMUL.
-        let dst_regs = if CHECKED {
-            let dst_regs = check_widening_dst(pc, sew, vd, regs)?;
-            check_group(pc, vd, dst_regs)?;
-            dst_regs
-        } else {
-            let dst_regs = regs * info.widen;
-            debug_assert!((vd.index() as usize).is_multiple_of(info.widen) && dst_regs <= 4);
-            debug_assert!(vd.index() as usize + dst_regs <= 32);
-            dst_regs
-        };
+        let dst_regs = check_widening_dst(pc, sew, vd, regs)?;
+        check_group(pc, vd, dst_regs)?;
         let m = sign_extend(multiplier_bits, sew);
         let dst = state.v_group_bytes_mut(vd, dst_regs);
         if sew == Sew::E8 {

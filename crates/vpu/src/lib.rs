@@ -16,11 +16,12 @@
 //! consumes the dynamic instruction stream event-by-event and produces
 //! cycle counts and traffic statistics. [`Simulator`] drives both in a
 //! single pass, through the decode-once [`engine`]: programs predecode
-//! into µop form ([`DecodedProgram`]) and run under an [`Observer`] —
-//! [`TimingObserver`] for the timed path, [`NullObserver`] for a
-//! functional loop that never materialises events. The per-step
-//! interpreter is retained as the differential-testing oracle
-//! ([`sim::Simulator::run_stepwise`]).
+//! into µop form ([`DecodedProgram`]) and run in one checked fetch loop
+//! under an [`Observer`] — [`TimingObserver`] on every timed path. The
+//! per-step interpreter is retained as the differential-testing oracle
+//! ([`sim::Simulator::run_stepwise`]). The static analyzer ([`analyze`])
+//! proves kernels fault-free for `lint` and CI; it is not on the
+//! simulation path.
 //!
 //! # Example
 //!

@@ -1,7 +1,11 @@
 //! The simulator front-end: functional execution + timing in one pass.
+//!
+//! Every `run*` entry point except the stepwise oracle goes through the
+//! one checked engine loop ([`DecodedProgram::execute`]); they differ
+//! only in who decodes and which [`Observer`] watches.
 
 use crate::config::SimConfig;
-use crate::engine::{DecodedProgram, NullObserver, Observer};
+use crate::engine::{DecodedProgram, Observer};
 use crate::exec::{step, ExecError};
 use crate::report::RunReport;
 use crate::state::ArchState;
@@ -181,26 +185,6 @@ impl Simulator {
         Ok((make_report(&timing, instructions), trace))
     }
 
-    /// Runs `program` functionally only (no timing) — used where only
-    /// the architectural result matters (fast verification). The
-    /// [`NullObserver`] monomorphization never materialises events.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run`].
-    pub fn run_functional(&mut self, program: &Program) -> Result<u64, SimError> {
-        self.run_functional_decoded(&DecodedProgram::decode(program))
-    }
-
-    /// [`Simulator::run_functional`] over an already-decoded program.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run`].
-    pub fn run_functional_decoded(&mut self, program: &DecodedProgram) -> Result<u64, SimError> {
-        self.run_decoded_with(program, &mut NullObserver)
-    }
-
     /// Core decoded-engine entry point: runs `program` under any
     /// [`Observer`], returning the dynamic instruction count.
     ///
@@ -220,44 +204,33 @@ impl Simulator {
         )
     }
 
-    /// [`Simulator::run_decoded`] through the **check-elided** engine
-    /// loop: a [`crate::analyze::Verified`] token (minted by the static
-    /// analyzer for programs with zero error-class diagnostics) replaces
-    /// the per-µop fault branches with debug assertions.
+    /// [`Simulator::run_decoded`] for a caller holding a
+    /// [`crate::analyze::Verified`] token: the same checked run, plus
+    /// debug assertions that the token was minted for this program's
+    /// length and this simulator's VLEN. The token does not change how
+    /// the program runs. The entry point stays only because the repo
+    /// benchmark under `perfbench/` calls it; delete it once that
+    /// benchmark calls [`Simulator::run_decoded`] instead.
     ///
     /// # Errors
     ///
-    /// [`SimError::InstructionLimit`] only — the token certifies the
-    /// fault conditions cannot occur (still checked in debug builds).
+    /// Same conditions as [`Simulator::run`].
     pub fn run_decoded_verified(
         &mut self,
         program: &DecodedProgram,
         token: crate::analyze::Verified,
     ) -> Result<RunReport, SimError> {
-        let mut obs = TimingObserver::new(self.cfg);
-        let instructions = self.run_decoded_verified_with(program, &mut obs, token)?;
-        Ok(make_report(obs.model(), instructions))
-    }
-
-    /// Core verified entry point: runs `program` check-elided under any
-    /// [`Observer`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_decoded_verified`].
-    pub fn run_decoded_verified_with<O: Observer>(
-        &mut self,
-        program: &DecodedProgram,
-        observer: &mut O,
-        token: crate::analyze::Verified,
-    ) -> Result<u64, SimError> {
-        program.execute_verified(
-            &mut self.state,
-            &mut self.mem,
-            observer,
-            self.max_instructions,
-            token,
-        )
+        debug_assert_eq!(
+            token.program_len(),
+            program.len(),
+            "Verified token minted for a different program"
+        );
+        debug_assert_eq!(
+            token.vlen_bits(),
+            self.state.vlen_bits(),
+            "Verified token minted for a different VLEN"
+        );
+        self.run_decoded(program)
     }
 
     /// The legacy interpret-per-step loop over [`step`] — kept verbatim
@@ -328,6 +301,7 @@ fn make_report(timing: &impl TimingModel, instructions: u64) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::NullObserver;
     use indexmac_isa::{Instruction, Lmul, ProgramBuilder, Sew, VReg, XReg};
 
     fn sim() -> Simulator {
@@ -391,8 +365,7 @@ mod tests {
             let mut s = sim();
             s.set_max_instructions(limit);
             assert_eq!(
-                s.run_stepwise(&p, &mut crate::engine::NullObserver)
-                    .unwrap(),
+                s.run_stepwise(&p, &mut NullObserver).unwrap(),
                 2,
                 "oracle at limit {limit}"
             );
@@ -407,7 +380,7 @@ mod tests {
         let mut s = sim();
         s.set_max_instructions(1);
         assert!(matches!(
-            s.run_stepwise(&p, &mut crate::engine::NullObserver),
+            s.run_stepwise(&p, &mut NullObserver),
             Err(SimError::InstructionLimit { limit: 1 })
         ));
     }
@@ -538,7 +511,8 @@ mod tests {
         let mut a = sim();
         a.run(&p).unwrap();
         let mut f = sim();
-        f.run_functional(&p).unwrap();
+        f.run_decoded_with(&DecodedProgram::decode(&p), &mut NullObserver)
+            .unwrap();
         assert_eq!(a.state().x(XReg::T1), f.state().x(XReg::T1));
         assert_eq!(a.state().x(XReg::T1), 21);
     }
@@ -591,59 +565,6 @@ mod tests {
             .unwrap();
         assert!(small.truncated());
         assert_eq!(small.entries().len(), 1);
-    }
-
-    #[test]
-    fn verified_path_matches_checked_path_bit_for_bit() {
-        let mut b = ProgramBuilder::new();
-        b.li(XReg::A0, 16);
-        b.push(Instruction::Vsetvli {
-            rd: XReg::T0,
-            rs1: XReg::A0,
-            sew: Sew::E32,
-            lmul: Lmul::M1,
-        });
-        b.li(XReg::A1, 0x1000);
-        b.li(XReg::A2, 0x2000);
-        b.push(Instruction::Vle32 {
-            vd: VReg::V2,
-            rs1: XReg::A1,
-        });
-        b.push(Instruction::VaddVv {
-            vd: VReg::V3,
-            vs2: VReg::V2,
-            vs1: VReg::V2,
-        });
-        b.push(Instruction::Vse32 {
-            vs3: VReg::V3,
-            rs1: XReg::A2,
-        });
-        b.halt();
-        let p = b.build();
-        let dp = DecodedProgram::decode(&p);
-        let token = crate::analyze::analyze(&dp, SimConfig::table_i().vlen_bits)
-            .verified()
-            .expect("program analyzes clean");
-
-        let mut checked = sim();
-        checked.memory_mut().write_f32_slice(0x1000, &[1.5; 16]);
-        let a = checked.run_decoded(&dp).unwrap();
-        let mut verified = sim();
-        verified.memory_mut().write_f32_slice(0x1000, &[1.5; 16]);
-        let b = verified.run_decoded_verified(&dp, token).unwrap();
-        assert_eq!(a, b, "verified run must be bit-identical");
-        assert_eq!(
-            checked.memory().read_f32_slice(0x2000, 16),
-            verified.memory().read_f32_slice(0x2000, 16)
-        );
-        // Functional verified agrees too.
-        let mut f = sim();
-        f.memory_mut().write_f32_slice(0x1000, &[1.5; 16]);
-        assert_eq!(
-            f.run_decoded_verified_with(&dp, &mut NullObserver, token)
-                .unwrap(),
-            a.instructions
-        );
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! Two implications pin the analyzer to the interpreter:
 //!
 //! * **Soundness** — if `analyze` reports zero error-class diagnostics
-//!   (so a [`Verified`] token would be minted and the check-elided
-//!   engine path taken), the stepwise oracle must never fault on the
-//!   same program. A violation here would mean the fast path can skip
-//!   a check that would actually have fired.
+//!   (so a `Verified` token is minted and `lint` reports the kernel
+//!   clean), the stepwise oracle must never fault on the same program.
+//!   A violation here would mean a clean lint verdict can hide a fault.
 //! * **Precision tracking** — if the oracle faults, the analyzer must
 //!   have flagged an error-class diagnostic, and that diagnostic must
 //!   either name the rule corresponding to the concrete fault or be
@@ -15,8 +14,8 @@
 //!   (the analyzer lost the value and had to assume the worst).
 //!
 //! Whenever a token is minted, a third check runs the program through
-//! the check-elided engine ([`Simulator::run_decoded_verified`]) and the
-//! checked one ([`Simulator::run_decoded`]): outcome, `RunReport`,
+//! the engine ([`Simulator::run_decoded`]) and the timed stepwise oracle
+//! ([`Simulator::run_stepwise_timed`]): outcome, `RunReport`,
 //! architectural state and a memory sample must be identical.
 //!
 //! The properties run over three program distributions: the hostile
@@ -32,7 +31,7 @@ use indexmac_isa::instr::FReg;
 use indexmac_isa::{Instruction, Lmul, Program, ProgramBuilder, Sew, VReg, XReg};
 use indexmac_vpu::{
     analyze, Confidence, DecodedProgram, ExecError, NullObserver, Rule, Severity, SimConfig,
-    SimError, Simulator, Verified,
+    SimError, Simulator,
 };
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
@@ -319,28 +318,28 @@ fn warmed_vrf_sim() -> Simulator {
     sim
 }
 
-/// Runs `decoded` check-elided under `token` and through the checked
-/// engine on fresh simulators from `fresh`, asserting identical
+/// Runs `p` through the engine (`decoded`) and the timed stepwise
+/// oracle on fresh simulators from `fresh`, asserting identical
 /// outcomes, reports, architectural state and memory.
-fn check_verified_matches_checked(
+fn check_engine_matches_oracle(
+    p: &Program,
     decoded: &DecodedProgram,
-    token: Verified,
     fresh: fn() -> Simulator,
 ) -> Result<(), TestCaseError> {
-    let mut verified = fresh();
-    let mut checked = fresh();
-    let fast = verified.run_decoded_verified(decoded, token);
-    let slow = checked.run_decoded(decoded);
-    prop_assert_eq!(fast, slow, "the token changed the run's outcome or report");
+    let mut engine = fresh();
+    let mut oracle = fresh();
+    let fast = engine.run_decoded(decoded);
+    let slow = oracle.run_stepwise_timed(p);
+    prop_assert_eq!(fast, slow, "the engine changed the run's outcome or report");
     prop_assert_eq!(
-        verified.state(),
-        checked.state(),
+        engine.state(),
+        oracle.state(),
         "architectural state diverged"
     );
     for addr in (0x1000u64..0x5000).step_by(257) {
         prop_assert_eq!(
-            verified.memory().read_u8(addr),
-            checked.memory().read_u8(addr),
+            engine.memory().read_u8(addr),
+            oracle.memory().read_u8(addr),
             "memory diverged at {:#x}",
             addr
         );
@@ -369,8 +368,8 @@ fn direct_rule(fault: &SimError) -> Rule {
 }
 
 /// Runs both properties, the token invariant and, under a token, the
-/// verified-vs-checked engine comparison on one program, starting every
-/// simulator from `fresh`.
+/// engine-vs-oracle comparison on one program, starting every simulator
+/// from `fresh`.
 fn check_differential(p: &Program, fresh: fn() -> Simulator) -> Result<(), TestCaseError> {
     let cfg = SimConfig::table_i();
     let decoded = DecodedProgram::decode(p);
@@ -383,7 +382,7 @@ fn check_differential(p: &Program, fresh: fn() -> Simulator) -> Result<(), TestC
             prop_assert_eq!(analysis.error_count(), 0);
             prop_assert_eq!(token.program_len(), p.len());
             prop_assert_eq!(token.vlen_bits(), cfg.vlen_bits);
-            check_verified_matches_checked(&decoded, token, fresh)?;
+            check_engine_matches_oracle(p, &decoded, fresh)?;
         }
         None => prop_assert!(analysis.error_count() > 0),
     }
@@ -434,8 +433,7 @@ fn check_differential(p: &Program, fresh: fn() -> Simulator) -> Result<(), TestC
     }
 
     // Soundness: a clean verdict (token minted) proves the oracle
-    // cannot fault. This is the property the check-elided engine path
-    // relies on.
+    // cannot fault. This is the property a clean `lint` relies on.
     if analysis.error_count() == 0 {
         prop_assert!(
             fault.is_none(),
@@ -465,7 +463,7 @@ proptest! {
 
     /// Unrolled `vindexmac.vvi` blocks over a patterned register file:
     /// clean verdicts are common, so this mostly exercises the
-    /// verified-vs-checked engine comparison on the kernels' MAC shape.
+    /// engine-vs-oracle comparison on the kernels' MAC shape.
     #[test]
     fn analyzer_matches_oracle_on_mac_blocks(p in mac_block_program()) {
         check_differential(&p, warmed_vrf_sim)?;

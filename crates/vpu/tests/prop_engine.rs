@@ -265,8 +265,8 @@ fn assert_states_match(engine: &Simulator, oracle: &Simulator) -> Result<(), Tes
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Functional path: the decoded engine (NullObserver — no events)
-    /// and the stepwise oracle agree on the outcome, the fault (if
+    /// Functional view: the decoded engine and the stepwise oracle,
+    /// both unobserved, agree on the outcome, the fault (if
     /// any), and every architectural-state component.
     #[test]
     fn decoded_engine_matches_step_oracle_functionally(p in program()) {
@@ -318,7 +318,7 @@ proptest! {
         engine.set_max_instructions(limit);
         let mut oracle = warmed_sim();
         oracle.set_max_instructions(limit);
-        let fast = engine.run_functional(&p);
+        let fast = engine.run_decoded_with(&DecodedProgram::decode(&p), &mut NullObserver);
         let slow = oracle.run_stepwise(&p, &mut NullObserver);
         prop_assert_eq!(fast, slow, "limit handling diverged at {}", limit);
         assert_states_match(&engine, &oracle)?;

@@ -6,7 +6,7 @@ mod common;
 
 use common::{instr_strategy, program_from};
 use indexmac_isa::{VReg, XReg};
-use indexmac_vpu::{SimConfig, Simulator};
+use indexmac_vpu::{DecodedProgram, NullObserver, SimConfig, Simulator};
 use proptest::prelude::*;
 
 proptest! {
@@ -55,7 +55,8 @@ proptest! {
         let mut timed = Simulator::new(SimConfig::table_i());
         let mut func = Simulator::new(SimConfig::table_i());
         timed.run(&p).unwrap();
-        func.run_functional(&p).unwrap();
+        func.run_decoded_with(&DecodedProgram::decode(&p), &mut NullObserver)
+            .unwrap();
         for i in 0..32 {
             let r = XReg::new(i);
             prop_assert_eq!(timed.state().x(r), func.state().x(r), "x{} differs", i);
