@@ -288,6 +288,21 @@ fn vvi_lead_survives_every_timing_backend_at_bert_ffn() {
             c.proposed.report.cycles as u128,
         )
     };
+    // Exact cycles per backend, as `BENCH_timing.json` records them
+    // (its 64x512x128 cell is this test's capped BERT-FFN shape).
+    let pinned = [
+        (TimingKind::InOrder, 463_244, 241_260),
+        (TimingKind::Pipelined, 509_568, 241_262),
+        (TimingKind::OutOfOrder, 509_281, 241_259),
+    ];
+    for ((kind, c), (want_kind, vx, vvi)) in by_backend.iter().zip(pinned) {
+        assert_eq!(*kind, want_kind);
+        assert_eq!(
+            (c.baseline.report.cycles, c.proposed.report.cycles),
+            (vx, vvi),
+            "{kind}: vx/vvi cycles moved from BENCH_timing.json"
+        );
+    }
     let (vx_io, vvi_io) = lead(&by_backend[0].1);
     let (vx_ooo, vvi_ooo) = lead(&by_backend[2].1);
     assert!(
