@@ -1,6 +1,6 @@
 //! The pinned BERT-FFN vvi-vs-vx comparison under each timing backend
-//! — the cross-backend acceptance measurement of the pluggable
-//! `TimingModel` layer, emitted to `BENCH_timing.json`.
+//! — the cross-backend acceptance measurement of the `TimingModel`'s
+//! issue policies, emitted to `BENCH_timing.json`.
 //!
 //! One decoded kernel pair (`vindexmac.vx` baseline, `vindexmac.vvi`
 //! m2 proposed, `3072x768x128` at 1:4 — the `tests/paper_claims.rs`

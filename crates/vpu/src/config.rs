@@ -5,18 +5,19 @@ use indexmac_mem::HierarchyConfig;
 
 /// Which scalar-core timing backend the simulator accounts cycles with.
 ///
-/// All three consume the same decoded µop stream through the
-/// [`crate::TimingModel`] trait; only the scalar core differs — the
-/// decoupled vector engine model is shared, so dynamic instruction
-/// counts are identical across backends and only cycle counts move.
+/// Each selects one issue policy of the single [`crate::TimingModel`];
+/// only the scalar core differs — the decoupled vector engine, the
+/// memory hierarchy and the register ready tables are shared, so
+/// dynamic instruction counts are identical across backends and only
+/// cycle counts move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TimingKind {
     /// The in-order issue scoreboard (the original model; all pinned
     /// paper numbers are measured under this backend).
     #[default]
     InOrder,
-    /// Explicit fetch/decode/issue/execute/writeback pipeline with
-    /// per-stage hazard stalls.
+    /// The in-order issue stage behind an explicit fetch/decode front
+    /// end and a writeback stage.
     Pipelined,
     /// Out-of-order scalar core: ROB, reservation stations, register
     /// alias table and a scalar load/store queue.

@@ -27,7 +27,7 @@
 //! There is one fetch loop, and it keeps every fault check the oracle
 //! makes. Execution is observed through the [`Observer`] trait; the
 //! engine is generic over it, so the timing path
-//! ([`crate::TimingObserver`]) gets its own monomorphized loop. The
+//! ([`crate::TimingModel`]) gets its own monomorphized loop. The
 //! legacy `step()` interpreter is kept verbatim as the **oracle**: cold
 //! µops fall back to it, and `crates/vpu/tests/prop_engine.rs`
 //! differentially tests the two paths for identical architectural

@@ -17,7 +17,7 @@
 //! cycle counts and traffic statistics. [`Simulator`] drives both in a
 //! single pass, through the decode-once [`engine`]: programs predecode
 //! into µop form ([`DecodedProgram`]) and run in one checked fetch loop
-//! under an [`Observer`] — [`TimingObserver`] on every timed path. The
+//! under an [`Observer`] — the [`TimingModel`] on every timed path. The
 //! per-step interpreter is retained as the differential-testing oracle
 //! ([`sim::Simulator::run_stepwise`]). The static analyzer ([`analyze`])
 //! proves kernels fault-free for `lint` and CI; it is not on the
@@ -64,8 +64,5 @@ pub use exec::{ExecError, ExecEvent, MemOp};
 pub use report::RunReport;
 pub use sim::{SimError, Simulator};
 pub use state::ArchState;
-pub use timing::{
-    AnyTimingModel, ClassCounts, InOrderScoreboard, InstrTiming, OutOfOrder, PipeStalls, Pipelined,
-    TimingModel, TimingObserver,
-};
+pub use timing::{ClassCounts, InstrTiming, TimingModel};
 pub use trace::{Trace, TraceEntry, TraceObserver};

@@ -9,7 +9,7 @@ use crate::engine::{DecodedProgram, Observer};
 use crate::exec::{step, ExecError};
 use crate::report::RunReport;
 use crate::state::ArchState;
-use crate::timing::{TimingModel, TimingObserver};
+use crate::timing::TimingModel;
 use crate::trace::TraceObserver;
 use indexmac_isa::Program;
 use indexmac_mem::MainMemory;
@@ -163,9 +163,9 @@ impl Simulator {
     ///
     /// Same conditions as [`Simulator::run`].
     pub fn run_decoded(&mut self, program: &DecodedProgram) -> Result<RunReport, SimError> {
-        let mut obs = TimingObserver::new(self.cfg);
-        let instructions = self.run_decoded_with(program, &mut obs)?;
-        Ok(make_report(obs.model(), instructions))
+        let mut timing = TimingModel::new(self.cfg);
+        let instructions = self.run_decoded_with(program, &mut timing)?;
+        Ok(make_report(&timing, instructions))
     }
 
     /// Runs `program` with timing, recording the first `trace_cap`
@@ -275,14 +275,14 @@ impl Simulator {
     ///
     /// Same conditions as [`Simulator::run`].
     pub fn run_stepwise_timed(&mut self, program: &Program) -> Result<RunReport, SimError> {
-        let mut obs = TimingObserver::new(self.cfg);
-        let instructions = self.run_stepwise(program, &mut obs)?;
-        Ok(make_report(obs.model(), instructions))
+        let mut timing = TimingModel::new(self.cfg);
+        let instructions = self.run_stepwise(program, &mut timing)?;
+        Ok(make_report(&timing, instructions))
     }
 }
 
-/// Collects a [`RunReport`] from a drained timing model (any backend).
-fn make_report(timing: &impl TimingModel, instructions: u64) -> RunReport {
+/// Collects a [`RunReport`] from a drained timing model.
+fn make_report(timing: &TimingModel, instructions: u64) -> RunReport {
     let hier = timing.hierarchy();
     RunReport {
         cycles: timing.total_cycles(),

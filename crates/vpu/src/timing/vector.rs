@@ -1,11 +1,9 @@
-//! The decoupled vector engine shared by every timing backend.
+//! The decoupled vector engine shared by every issue policy.
 //!
-//! Extracting the engine into one struct is what makes the backends
-//! *interchangeable* rather than merely parallel: instruction counts,
-//! memory traffic, queue behaviour and the vector-to-scalar coupling
-//! cost are computed by exactly this code under every
-//! [`crate::config::TimingKind`], so switching backends can only move
-//! scalar-side cycle accounting.
+//! Instruction counts, memory traffic, queue behaviour and the
+//! vector-to-scalar coupling cost are computed by exactly this code
+//! under every [`crate::config::TimingKind`], so switching policies can
+//! only move scalar-side cycle accounting.
 
 use super::vecdeque_window;
 use crate::config::SimConfig;
@@ -32,7 +30,7 @@ pub(super) struct VectorOutcome {
     /// cycle the scalar core handed the instruction over, the core was
     /// blocked and must advance its own clock to match.
     pub dispatch: u64,
-    /// Scalar integer writeback (`vmv.x.s`), applied by the backend.
+    /// Scalar integer writeback (`vmv.x.s`), applied by the model.
     pub x_write: Option<(XReg, u64)>,
     /// Scalar floating-point writeback (`vfmv.f.s`).
     pub f_write: Option<(FReg, u64)>,
@@ -129,25 +127,24 @@ impl VectorSide {
         // The widening integer MACs write an e32 accumulator group that
         // spans `32/SEW` times the source EMUL (the same factor the
         // functional executor applies).
-        let widen = if ev.instr.class() == InstrClass::VIndexMac {
+        let widen = if class == InstrClass::VIndexMac {
             crate::exec::widen_factor(ev.sew)
         } else {
             1
         };
         let dst_regs = emul * widen;
         let dst = ev.instr.v_dst();
+        // vindexmac.vvi reads its metadata operands element-wise: they
+        // stay single registers even when the accumulator (vd) and the
+        // indirect source span a group.
+        let src_regs = if matches!(ev.instr, Instruction::VindexmacVvi { .. }) {
+            1
+        } else {
+            emul
+        };
         let mut start = self.engine_free.max(dispatch);
         for src in ev.instr.v_srcs().into_iter().flatten() {
-            // vindexmac.vvi reads its metadata operands element-wise:
-            // they stay single registers even when the accumulator (vd)
-            // and the indirect source span a group.
-            let regs = if matches!(ev.instr, Instruction::VindexmacVvi { .. }) && Some(src) != dst {
-                1
-            } else if Some(src) == dst {
-                dst_regs
-            } else {
-                emul
-            };
+            let regs = if Some(src) == dst { dst_regs } else { src_regs };
             start = start.max(self.ready_of(src, regs));
         }
         if let Some(ind) = ev.indirect_vreg {
@@ -168,7 +165,7 @@ impl VectorSide {
                 let lat = hier.vector_read(m.addr, m.bytes, start);
                 let data_at = start + lat;
                 self.lq.push_back(data_at);
-                if let Some(vd) = ev.instr.v_dst() {
+                if let Some(vd) = dst {
                     self.mark_ready(vd, dst_regs, data_at);
                 }
                 self.engine_free = start + occ;
@@ -212,7 +209,7 @@ impl VectorSide {
                 };
                 self.engine_free = start + occ;
                 self.engine_busy += occ;
-                if let Some(vd) = ev.instr.v_dst() {
+                if let Some(vd) = dst {
                     self.mark_ready(vd, dst_regs, start + lat.max(occ));
                 }
                 (dispatch + 1, start + lat.max(occ))

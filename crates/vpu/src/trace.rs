@@ -8,7 +8,7 @@
 use crate::config::SimConfig;
 use crate::engine::Observer;
 use crate::exec::ExecEvent;
-use crate::timing::{AnyTimingModel, InstrTiming, TimingModel};
+use crate::timing::{InstrTiming, TimingModel};
 use indexmac_isa::{InstrClass, Instruction};
 use std::fmt;
 
@@ -144,27 +144,27 @@ impl fmt::Display for Trace {
 /// engine loop over.
 #[derive(Debug, Clone)]
 pub struct TraceObserver {
-    timing: AnyTimingModel,
+    timing: TimingModel,
     trace: Trace,
 }
 
 impl TraceObserver {
     /// A fresh observer recording at most `trace_cap` instructions,
-    /// timed under the backend `cfg.timing` selects.
+    /// timed under the issue policy `cfg.timing` selects.
     pub fn new(cfg: SimConfig, trace_cap: usize) -> Self {
         Self {
-            timing: AnyTimingModel::new(cfg),
+            timing: TimingModel::new(cfg),
             trace: Trace::new(trace_cap),
         }
     }
 
     /// The accumulated timing model.
-    pub fn timing(&self) -> &AnyTimingModel {
+    pub fn timing(&self) -> &TimingModel {
         &self.timing
     }
 
     /// Consumes the observer, yielding the model and the trace.
-    pub fn into_parts(self) -> (AnyTimingModel, Trace) {
+    pub fn into_parts(self) -> (TimingModel, Trace) {
         (self.timing, self.trace)
     }
 }
@@ -172,7 +172,7 @@ impl TraceObserver {
 impl Observer for TraceObserver {
     #[inline]
     fn observe(&mut self, ev: &ExecEvent) {
-        let t = self.timing.observe(ev);
+        let t = self.timing.account(ev);
         self.trace.record(ev.pc, ev.instr, t);
     }
 }

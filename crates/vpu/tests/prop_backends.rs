@@ -1,10 +1,9 @@
 //! Cross-backend timing invariants: for random valid programs, every
-//! timing backend (in-order scoreboard, pipelined, out-of-order) must
-//! satisfy the [`indexmac_vpu::TimingModel`] contract event-by-event,
-//! and the backends must agree on everything that is *not* timing —
-//! instret, per-class counts, memory traffic.
-//!
-//! These are the properties the `TimingModel` trait documents:
+//! issue policy of the [`indexmac_vpu::TimingModel`] (in-order
+//! scoreboard, pipelined, out-of-order) must uphold the model's
+//! documented invariants event-by-event, and the policies must agree on
+//! everything that is *not* timing — instret, per-class counts, memory
+//! traffic:
 //!
 //! * per event: `completion >= start >= issue_at`;
 //! * `total_cycles()` is monotone non-decreasing across events;
@@ -16,15 +15,14 @@ mod common;
 
 use common::{instr_strategy, program_from};
 use indexmac_vpu::{
-    AnyTimingModel, DecodedProgram, ExecEvent, Observer, SimConfig, Simulator, TimingKind,
-    TimingModel,
+    DecodedProgram, ExecEvent, Observer, SimConfig, Simulator, TimingKind, TimingModel,
 };
 use proptest::prelude::*;
 
-/// An [`Observer`] that checks the per-event trait invariants as the
-/// stream flows through, then exposes the finished model.
+/// An [`Observer`] that checks the per-event invariants as the stream
+/// flows through, then exposes the finished model.
 struct InvariantObserver {
-    model: AnyTimingModel,
+    model: TimingModel,
     events: u64,
     last_total: u64,
 }
@@ -32,7 +30,7 @@ struct InvariantObserver {
 impl InvariantObserver {
     fn new(cfg: SimConfig) -> Self {
         Self {
-            model: AnyTimingModel::new(cfg),
+            model: TimingModel::new(cfg),
             events: 0,
             last_total: 0,
         }
@@ -41,8 +39,8 @@ impl InvariantObserver {
 
 impl Observer for InvariantObserver {
     fn observe(&mut self, ev: &ExecEvent) {
-        let kind = self.model.kind();
-        let t = self.model.observe(ev);
+        let kind = self.model.config().timing;
+        let t = self.model.account(ev);
         assert!(
             t.start >= t.issue_at,
             "{kind}: event {}: start {} < issue_at {}",
@@ -73,7 +71,7 @@ impl Observer for InvariantObserver {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every backend satisfies the per-event and whole-run trait
+    /// Every backend satisfies the per-event and whole-run
     /// invariants on random programs, and the backend-invariant
     /// quantities agree bit-for-bit across all three.
     #[test]
