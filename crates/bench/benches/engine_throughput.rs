@@ -4,11 +4,14 @@
 //! Two measurements, both emitted to `BENCH_engine.json`:
 //!
 //! * **instructions/sec** — a *timed* run (in-order timing model) of
-//!   the pinned BERT-FFN kernel (`3072x768x128`, the heaviest
-//!   transformer shape; the e8 quantized row and the f32 `m2` row of
-//!   the transformer campaign), through the legacy stepwise oracle
-//!   (`run_stepwise_timed`) and the decoded engine (`run_decoded`).
-//!   Both must produce the same `RunReport`; the bench asserts it.
+//!   the pinned BERT-FFN `vindexmac.vvi` kernel (`3072x768x128`, the
+//!   heaviest transformer shape; the e8 quantized row and the f32 `m2`
+//!   row of the transformer campaign), and of the paper's own f32
+//!   kernels — the row-wise SpMM baseline and `vindexmac.vx` — on
+//!   ResNet50 `layer2.0.conv2` under the Fig. 4 caps, through the
+//!   legacy stepwise oracle (`run_stepwise_timed`) and the decoded
+//!   engine (`run_decoded`). Both must produce the same `RunReport`;
+//!   the bench asserts it.
 //!   Decode is reported as a one-time cost of every cold kernel; the
 //!   static analysis (`analyze_ms`) is the cost of linting the kernel,
 //!   which the simulation path does not pay.
@@ -17,13 +20,14 @@
 //!   runs entirely against the decode-once `ProgramCache` and the
 //!   reused per-thread simulator.
 //!
-//! `INDEXMAC_PROFILE=smoke` caps the GEMM (CI); `default`/`full` run
-//! the uncapped pinned shape. The committed `BENCH_engine.json` comes
-//! from `INDEXMAC_PROFILE=full`; other profiles write under
-//! `target/bench-out/`.
+//! `INDEXMAC_PROFILE=smoke` caps every GEMM (CI); `default`/`full` run
+//! the uncapped BERT-FFN shape and the Fig. 4-capped ResNet50 shape.
+//! The committed `BENCH_engine.json` comes from `INDEXMAC_PROFILE=full`;
+//! other profiles write under `target/bench-out/`.
 
 use indexmac::experiment::{decode_cache_stats, reset_decode_cache, ExperimentConfig, Precision};
-use indexmac::kernels::{indexmac2, GemmDims, GemmLayout, KernelParams};
+use indexmac::kernels::{self, indexmac2, rowwise, GemmDims, GemmLayout, KernelParams};
+use indexmac::models::{resnet50, GemmCaps};
 use indexmac::sparse::{prune, quant, DenseMatrix, NmPattern, StructuredSparseMatrix};
 use indexmac::sweep::{run_cells, SweepGrid};
 use indexmac::vpu::{analyze_with_contract, DecodedProgram, SimConfig, Simulator};
@@ -39,8 +43,34 @@ const BERT_FFN: GemmDims = GemmDims {
     cols: 128,
 };
 
+/// ResNet50's `layer2.0.conv2` (128 x 1152 x 784 before capping): the
+/// Fig. 4 layer whose capped B tile overflows the L2.
+const RESNET50_LAYER: &str = "layer2.0.conv2";
+
+/// The kernel a row times.
+#[derive(Clone, Copy)]
+enum Kernel {
+    /// Second-generation `vindexmac.vvi` (arXiv 2501.10189).
+    Vvi,
+    /// The paper's `vindexmac.vx` (Algorithm 3).
+    Vx,
+    /// The paper's row-wise SpMM baseline (Algorithm 2).
+    RowWise,
+}
+
+impl Kernel {
+    fn name(self) -> &'static str {
+        match self {
+            Kernel::Vvi => "vindexmac.vvi",
+            Kernel::Vx => "vindexmac.vx",
+            Kernel::RowWise => "rowwise",
+        }
+    }
+}
+
 struct Row {
     label: &'static str,
+    kernel: Kernel,
     sew_bits: usize,
     lmul: usize,
     dims: GemmDims,
@@ -64,6 +94,7 @@ impl Row {
     fn to_value(&self) -> Value {
         Value::object([
             ("label", self.label.to_value()),
+            ("kernel", self.kernel.name().to_value()),
             ("sew", self.sew_bits.to_value()),
             ("lmul", self.lmul.to_value()),
             (
@@ -89,10 +120,11 @@ impl Row {
     }
 }
 
-/// Builds the pinned-shape `vindexmac.vvi` kernel at one precision and
-/// times a run through each of the two timed paths.
+/// Builds `kernel` for one shape and precision and times a run through
+/// each of the two timed paths.
 fn measure_row(
     label: &'static str,
+    kernel: Kernel,
     precision: Precision,
     requested_lmul: usize,
     caps_dims: GemmDims,
@@ -112,17 +144,41 @@ fn measure_row(
             DenseMatrix::random(caps_dims.inner, caps_dims.cols, seed + 1),
         )
     };
-    // The e8 widening accumulator caps grouping at m1 (lmul*32/SEW <= 4)
-    // — the same clamp `compare_model` applies to quantized presets.
-    let lmul = requested_lmul.min(4 / precision.widen()).max(1);
-    let tile_rows = GemmLayout::fit_tile_rows(16, lmul, pattern);
-    let layout = GemmLayout::plan_elem(&a, caps_dims.cols, &sim_cfg, tile_rows, lmul, precision)
-        .expect("pinned layout plans");
+    let (layout, unroll) = match kernel {
+        Kernel::Vvi => {
+            // The e8 widening accumulator caps grouping at m1
+            // (lmul*32/SEW <= 4) — the same clamp `compare_model`
+            // applies to quantized presets.
+            let lmul = requested_lmul.min(4 / precision.widen()).max(1);
+            let tile_rows = GemmLayout::fit_tile_rows(16, lmul, pattern);
+            let layout =
+                GemmLayout::plan_elem(&a, caps_dims.cols, &sim_cfg, tile_rows, lmul, precision)
+                    .expect("pinned layout plans");
+            let unroll = 4usize.min(indexmac2::max_unroll(&layout));
+            (layout, unroll)
+        }
+        Kernel::Vx | Kernel::RowWise => {
+            // The paper's configuration: m1, 16 preloaded tile rows.
+            let layout = GemmLayout::plan_elem(&a, caps_dims.cols, &sim_cfg, 16, 1, precision)
+                .expect("pinned layout plans");
+            let unroll = match kernel {
+                Kernel::Vx => 4usize.min(kernels::indexmac::max_unroll(&layout)),
+                _ => 4,
+            };
+            (layout, unroll)
+        }
+    };
+    let lmul = layout.lmul;
     let params = KernelParams {
-        unroll: 4usize.min(indexmac2::max_unroll(&layout)),
+        unroll,
         ..KernelParams::default()
     };
-    let program = indexmac2::build(&layout, &params).expect("pinned kernel builds");
+    let program = match kernel {
+        Kernel::Vvi => indexmac2::build(&layout, &params),
+        Kernel::Vx => kernels::indexmac::build(&layout, &params),
+        Kernel::RowWise => rowwise::build(&layout, &params),
+    }
+    .expect("pinned kernel builds");
 
     let t0 = Instant::now();
     let decoded = DecodedProgram::decode(&program);
@@ -166,6 +222,7 @@ fn measure_row(
 
     Row {
         label,
+        kernel,
         sew_bits: precision.bits(),
         lmul,
         dims: caps_dims,
@@ -230,21 +287,60 @@ fn main() {
     );
     let dims = profile.caps().apply(BERT_FFN);
     let iters = if dims == BERT_FFN { 5 } else { 10 };
+    // The paper's kernels run at the Fig. 4 caps (smoke: the smoke caps).
+    let resnet_caps = match profile {
+        Profile::Smoke => GemmCaps::smoke(),
+        _ => GemmCaps::default_eval(),
+    };
+    let resnet_dims = resnet_caps.apply(
+        resnet50()
+            .layer(RESNET50_LAYER)
+            .expect("ResNet50 has the layer")
+            .gemm,
+    );
     println!(
-        "pinned shape {}x{}x{} (BERT-FFN{}), vindexmac.vvi kernel, timed runs x{iters}\n",
+        "pinned shapes: {}x{}x{} (BERT-FFN{}), vindexmac.vvi; {}x{}x{} (ResNet50 {RESNET50_LAYER}, \
+         capped), row-wise and vindexmac.vx; timed runs x{iters}\n",
         dims.rows,
         dims.inner,
         dims.cols,
         if dims == BERT_FFN { "" } else { ", capped" },
+        resnet_dims.rows,
+        resnet_dims.inner,
+        resnet_dims.cols,
     );
 
     let rows = vec![
-        measure_row("bert-ffn-e8", Precision::I8, 2, dims, iters),
-        measure_row("bert-ffn-f32-m2", Precision::F32, 2, dims, iters),
+        measure_row("bert-ffn-e8", Kernel::Vvi, Precision::I8, 2, dims, iters),
+        measure_row(
+            "bert-ffn-f32-m2",
+            Kernel::Vvi,
+            Precision::F32,
+            2,
+            dims,
+            iters,
+        ),
+        measure_row(
+            "resnet50-rowwise-f32",
+            Kernel::RowWise,
+            Precision::F32,
+            1,
+            resnet_dims,
+            iters,
+        ),
+        measure_row(
+            "resnet50-vx-f32",
+            Kernel::Vx,
+            Precision::F32,
+            1,
+            resnet_dims,
+            iters,
+        ),
     ];
     println!(
-        "{:<18} {:>4} {:>4} {:>12} {:>10} {:>10} {:>11} {:>11} {:>8} {:>12}",
+        "{:<21} {:<13} {:>4} {:>4} {:>12} {:>10} {:>10} {:>11} {:>11} {:>8} {:>12}",
         "row",
+        "kernel",
         "sew",
         "lmul",
         "dyn instrs",
@@ -257,8 +353,9 @@ fn main() {
     );
     for r in &rows {
         println!(
-            "{:<18} {:>4} {:>4} {:>12} {:>10.1} {:>10.1} {:>11.2} {:>11.2} {:>7.2}x {:>12.1}",
+            "{:<21} {:<13} {:>4} {:>4} {:>12} {:>10.1} {:>10.1} {:>11.2} {:>11.2} {:>7.2}x {:>12.1}",
             r.label,
+            r.kernel.name(),
             format!("e{}", r.sew_bits),
             format!("m{}", r.lmul),
             r.instructions,

@@ -374,7 +374,7 @@ impl ProgramCache {
             return Ok(Rc::clone(cached));
         }
         self.stats.misses += 1;
-        let program = Rc::new(DecodedProgram::decode(&build_kernel(
+        let program = Rc::new(DecodedProgram::decode_owned(build_kernel(
             algorithm, layout, params,
         )?));
         self.resident_uops += program.len();
@@ -525,8 +525,7 @@ pub fn lint_gemm(
     let capped = cfg.caps.apply(dims);
     let (a, _) = operands(capped, pattern, cfg.seed, cfg.precision);
     let (layout, params) = plan_kernel(algorithm, &a, capped.cols, cfg)?;
-    let program = build_kernel(algorithm, &layout, &params)?;
-    let decoded = DecodedProgram::decode(&program);
+    let decoded = DecodedProgram::decode_owned(build_kernel(algorithm, &layout, &params)?);
     let analysis = verify::analyze_kernel(&decoded, &layout, &cfg.sim);
     Ok(LintResult {
         algorithm,
@@ -534,7 +533,7 @@ pub fn lint_gemm(
         gemm: capped,
         precision: cfg.precision,
         lmul: layout.lmul,
-        static_instructions: program.len(),
+        static_instructions: decoded.len(),
         verified: analysis.verified().is_some(),
         diagnostics: analysis.diagnostics().to_vec(),
     })

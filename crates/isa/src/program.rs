@@ -44,6 +44,12 @@ impl Program {
         &self.instrs
     }
 
+    /// Consumes the program, returning its instruction stream (comments
+    /// are dropped).
+    pub fn into_instructions(self) -> Vec<Instruction> {
+        self.instrs
+    }
+
     /// The comment attached at slot `pc`, if any.
     pub fn comment(&self, pc: usize) -> Option<&str> {
         self.comments.get(&pc).map(String::as_str)

@@ -114,6 +114,12 @@ impl CacheStats {
 pub struct Cache {
     cfg: CacheConfig,
     lines: Vec<Line>, // sets * ways, set-major
+    /// `log2(line_bytes)`: address -> line number.
+    line_shift: u32,
+    /// `sets - 1`: line number -> set index.
+    set_mask: u64,
+    /// `log2(line_bytes * sets)`: address -> tag.
+    tag_shift: u32,
     clock: u64,
     stats: CacheStats,
 }
@@ -140,9 +146,13 @@ impl Cache {
             cfg.size_bytes,
             "size must factor exactly into sets*ways*line"
         );
+        let line_shift = cfg.line_bytes.trailing_zeros();
         Self {
             cfg,
             lines: vec![Line::default(); sets * cfg.ways],
+            line_shift,
+            set_mask: sets as u64 - 1,
+            tag_shift: line_shift + sets.trailing_zeros(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -164,12 +174,11 @@ impl Cache {
     }
 
     fn set_index(&self, addr: u64) -> usize {
-        let line = addr / self.cfg.line_bytes as u64;
-        (line as usize) & (self.cfg.sets() - 1)
+        ((addr >> self.line_shift) & self.set_mask) as usize
     }
 
     fn tag(&self, addr: u64) -> u64 {
-        addr / self.cfg.line_bytes as u64 / self.cfg.sets() as u64
+        addr >> self.tag_shift
     }
 
     /// Checks residency without updating any state.
@@ -376,6 +385,18 @@ mod tests {
             assert!(c.access(i * 64, AccessKind::Read).hit);
         }
         assert_eq!(c.stats().hit_rate(), 0.5);
+    }
+
+    #[test]
+    fn bit_sliced_indexing_matches_the_division_form() {
+        for cfg in [CacheConfig::table_i_l1d(), CacheConfig::table_i_l2()] {
+            let c = Cache::new(cfg);
+            let (line, sets) = (cfg.line_bytes as u64, cfg.sets() as u64);
+            for addr in [0, 0x3F, 0x40, 0x1234_5678, u64::MAX - 63, u64::MAX] {
+                assert_eq!(c.set_index(addr) as u64, (addr / line) % sets);
+                assert_eq!(c.tag(addr), addr / line / sets);
+            }
+        }
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl MemoryHierarchy {
     }
 
     fn bank_of(&self, line_addr: u64) -> usize {
-        ((line_addr / self.cfg.l2.line_bytes as u64) as usize) % self.cfg.l2_banks
+        ((line_addr >> self.cfg.l2.line_bytes.trailing_zeros()) as usize) % self.cfg.l2_banks
     }
 
     /// One line access at the L2 level (bank arbitration + L2 lookup +
@@ -127,12 +127,16 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Iterates the 64-byte lines covered by `[addr, addr+size)`.
+    /// Iterates the lines covered by `[addr, addr + size)`. Addresses
+    /// wrap at the top of the address space, as in
+    /// [`crate::MainMemory::read_slice`], so an access that straddles it
+    /// covers the last line and then line 0.
     fn lines(&self, addr: u64, size: u64) -> impl Iterator<Item = u64> {
         let lb = self.cfg.l2.line_bytes as u64;
         let first = addr & !(lb - 1);
-        let last = (addr + size.max(1) - 1) & !(lb - 1);
-        (0..=(last - first) / lb).map(move |i| first + i * lb)
+        let last = addr.wrapping_add(size.max(1) - 1) & !(lb - 1);
+        let count = last.wrapping_sub(first) / lb + 1;
+        (0..count).map(move |i| first.wrapping_add(i * lb))
     }
 
     /// Scalar load through L1D. Returns latency in cycles.
@@ -149,8 +153,7 @@ impl MemoryHierarchy {
 
     fn scalar_access(&mut self, addr: u64, size: u64, kind: AccessKind, now: u64) -> u64 {
         let mut done = now;
-        let lines: Vec<u64> = self.lines(addr, size).collect();
-        for line in lines {
+        for line in self.lines(addr, size) {
             let res = self.l1d.access(line, kind);
             let completion = if res.hit {
                 now + self.cfg.l1_latency
@@ -173,8 +176,7 @@ impl MemoryHierarchy {
     pub fn vector_read(&mut self, addr: u64, size: u64, now: u64) -> u64 {
         self.stats.vector_loads += 1;
         let mut done = now;
-        let lines: Vec<u64> = self.lines(addr, size).collect();
-        for line in lines {
+        for line in self.lines(addr, size) {
             let completion = self.l2_line_access(line, AccessKind::Read, now);
             done = done.max(completion);
         }
@@ -186,8 +188,7 @@ impl MemoryHierarchy {
     pub fn vector_write(&mut self, addr: u64, size: u64, now: u64) -> u64 {
         self.stats.vector_stores += 1;
         let mut done = now;
-        let lines: Vec<u64> = self.lines(addr, size).collect();
-        for line in lines {
+        for line in self.lines(addr, size) {
             let completion = self.l2_line_access(line, AccessKind::Write, now);
             done = done.max(completion);
         }
@@ -264,6 +265,36 @@ mod tests {
         // Both lines now resident in L1.
         assert!(m.l1d().probe(0x1000));
         assert!(m.l1d().probe(0x1040));
+    }
+
+    #[test]
+    fn access_straddling_the_top_of_the_address_space_wraps_to_line_zero() {
+        let mut m = h();
+        assert!(m.scalar_read(u64::MAX - 3, 8, 0) > 0);
+        assert!(m.l1d().probe(u64::MAX));
+        assert!(m.l1d().probe(0));
+        assert_eq!(m.l1d().stats().accesses(), 2);
+        m.vector_read(u64::MAX - 31, 64, 100);
+        assert_eq!(
+            m.l2().stats().accesses(),
+            4,
+            "two L1 fills + two vector lines"
+        );
+    }
+
+    #[test]
+    fn access_ending_at_the_top_of_the_address_space_covers_one_line() {
+        let mut m = h();
+        m.scalar_write(u64::MAX - 7, 8, 0);
+        assert_eq!(m.l1d().stats().accesses(), 1);
+        assert!(m.l1d().probe(u64::MAX - 63));
+        assert!(!m.l1d().probe(0));
+        m.vector_write(u64::MAX - 63, 64, 100);
+        assert_eq!(
+            m.l2().stats().accesses(),
+            2,
+            "one L1 fill + one vector line"
+        );
     }
 
     #[test]

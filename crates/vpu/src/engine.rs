@@ -19,19 +19,28 @@
 //! * the per-SEW constants the vector µops need — lane masks, widening
 //!   factors, element sizes — live in the const [`SEW_INFO`] table,
 //!   indexed rather than recomputed;
-//! * the hot vector µops (unit-stride loads/stores, `vfmacc.vf`, both
-//!   IndexMAC generations) operate on whole register-group byte slices
-//!   (one borrow per instruction) and page-chunked memory transfers
-//!   instead of per-lane accessor calls.
+//! * the vector µops operate on whole register-group byte slices (one
+//!   borrow per instruction) and page-chunked memory transfers instead
+//!   of per-lane accessor calls.
+//!
+//! Every opcode a shipped kernel builder emits is a native µop: the
+//! scalar ALU, load/store and branch ops, `vsetvli`, unit-stride
+//! `vle*`/`vse*`, `vfmacc.vf`, both IndexMAC generations, and the
+//! baselines' slides and moves (`vslide1down.vx`, `vadd.vx`, `vmv.x.s`,
+//! `vmv.s.x`, `vfmv.f.s`). Only opcodes no builder emits decode to
+//! `Uop::Step` and run through the legacy `step()` interpreter, which
+//! is kept verbatim as the **oracle**: `vadd.vv/.vi`, `vmul.vv/.vx`,
+//! `vmacc.vx`, `vfadd.vv`, `vfmul.vv`, `vfmacc.vv`, `vmv.v.v/.v.x` and
+//! `vslidedown.vi`. [`DecodedProgram::oracle_slots`] counts those slots;
+//! `crates/kernels/tests/native_uops.rs` pins it at 0 for every builder.
 //!
 //! There is one fetch loop, and it keeps every fault check the oracle
 //! makes. Execution is observed through the [`Observer`] trait; the
 //! engine is generic over it, so the timing path
-//! ([`crate::TimingModel`]) gets its own monomorphized loop. The
-//! legacy `step()` interpreter is kept verbatim as the **oracle**: cold
-//! µops fall back to it, and `crates/vpu/tests/prop_engine.rs`
-//! differentially tests the two paths for identical architectural
-//! state, reports and faults.
+//! ([`crate::TimingModel`]) gets its own monomorphized loop.
+//! `crates/vpu/tests/prop_engine.rs` differentially tests the engine
+//! against the oracle for identical architectural state, reports and
+//! faults.
 
 use crate::checks::{
     check_branch_target, check_e32_only, check_element_width, check_group,
@@ -128,9 +137,9 @@ const MAX_GROUP_BYTES: usize = 4 * 512;
 /// One predecoded micro-operation. Operands are unpacked, immediates
 /// pre-extended, branch targets absolute; the variant itself encodes
 /// the static properties (`group_aware`, e32-only) that the legacy
-/// interpreter re-derives per step. Cold opcodes decode to
-/// [`Uop::Step`], which defers to the oracle interpreter — bit-for-bit
-/// the legacy semantics, paid only on the cold path.
+/// interpreter re-derives per step. Opcodes no kernel builder emits
+/// decode to [`Uop::Step`], which defers to the oracle interpreter —
+/// bit-for-bit the legacy semantics, paid only on the cold path.
 #[derive(Debug, Clone, Copy)]
 enum Uop {
     // ---- scalar ----
@@ -269,9 +278,38 @@ enum Uop {
         vs1: VReg,
         slot: u8,
     },
+    /// `vslide1down.vx` — the baselines' per-non-zero metadata shift
+    /// (no grouping semantics).
+    Vslide1downVx {
+        vd: VReg,
+        vs2: VReg,
+        rs1: XReg,
+    },
+    /// `vadd.vx` — the row-wise baseline's column-index rebase (no
+    /// grouping semantics).
+    VaddVx {
+        vd: VReg,
+        vs2: VReg,
+        rs1: XReg,
+    },
+    /// `vmv.x.s` — element 0 to a scalar register, sign-extended.
+    VmvXs {
+        rd: XReg,
+        vs2: VReg,
+    },
+    /// `vmv.s.x` — a scalar register into element 0.
+    VmvSx {
+        vd: VReg,
+        rs1: XReg,
+    },
+    /// `vfmv.f.s` — element 0 to an FP register (e32-only).
+    VfmvFs {
+        fd: FReg,
+        vs2: VReg,
+    },
 
     // ---- cold tail ----
-    /// Any other instruction: defer to the `step()` oracle.
+    /// Any opcode no kernel builder emits: defer to the `step()` oracle.
     Step,
 }
 
@@ -392,6 +430,11 @@ fn decode_one(pc: usize, instr: &Instruction) -> Uop {
         I::VfmaccVf { vd, fs1, vs2 } => Uop::VfmaccVf { vd, fs1, vs2 },
         I::VindexmacVx { vd, vs2, rs } => Uop::VindexmacVx { vd, vs2, rs },
         I::VindexmacVvi { vd, vs2, vs1, slot } => Uop::VindexmacVvi { vd, vs2, vs1, slot },
+        I::Vslide1downVx { vd, vs2, rs1 } => Uop::Vslide1downVx { vd, vs2, rs1 },
+        I::VaddVx { vd, vs2, rs1 } => Uop::VaddVx { vd, vs2, rs1 },
+        I::VmvXs { rd, vs2 } => Uop::VmvXs { rd, vs2 },
+        I::VmvSx { vd, rs1 } => Uop::VmvSx { vd, rs1 },
+        I::VfmvFs { fd, vs2 } => Uop::VfmvFs { fd, vs2 },
         _ => Uop::Step,
     }
 }
@@ -406,13 +449,23 @@ fn decode_one(pc: usize, instr: &Instruction) -> Uop {
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
     uops: Box<[Uop]>,
-    instrs: Box<[Instruction]>,
+    instrs: Vec<Instruction>,
 }
 
 impl DecodedProgram {
-    /// Predecodes `program` into µops.
+    /// Predecodes `program` into µops, copying its instructions. Callers
+    /// that own the program should use [`DecodedProgram::decode_owned`].
     pub fn decode(program: &Program) -> Self {
-        let instrs: Box<[Instruction]> = program.instructions().into();
+        Self::from_instructions(program.instructions().to_vec())
+    }
+
+    /// Predecodes `program` into µops, taking its instruction stream
+    /// without a copy.
+    pub fn decode_owned(program: Program) -> Self {
+        Self::from_instructions(program.into_instructions())
+    }
+
+    fn from_instructions(instrs: Vec<Instruction>) -> Self {
         let uops = instrs
             .iter()
             .enumerate()
@@ -429,6 +482,13 @@ impl DecodedProgram {
     /// Whether the program is empty.
     pub fn is_empty(&self) -> bool {
         self.uops.is_empty()
+    }
+
+    /// Static slots whose µop defers to the `step()` oracle. Every
+    /// shipped kernel builder emits only native µops, so this is 0 for
+    /// them (`crates/kernels/tests/native_uops.rs` enforces it).
+    pub fn oracle_slots(&self) -> usize {
+        self.uops.iter().filter(|u| matches!(u, Uop::Step)).count()
     }
 
     /// The original instruction at `pc` (µops keep their source form
@@ -694,6 +754,53 @@ impl DecodedProgram {
                 indexmac_body(state, pc, vd, src, multiplier_bits, sew)?;
                 indirect = Some(src);
             }
+            Uop::Vslide1downVx { vd, vs2, rs1 } => {
+                let vl = state.vl();
+                check_grouping_supported(pc, vl, state.vlmax())?;
+                if vl > 0 {
+                    // vd[i] = vs2[i + 1] for i < vl - 1, then the scalar
+                    // (truncated to SEW) into the last active element.
+                    let eb = SEW_INFO[sew_index(ev_sew)].bytes;
+                    let n = (vl - 1) * eb;
+                    state.copy_v_bytes(vs2, eb, vd, n);
+                    let s = state.x(rs1).to_le_bytes();
+                    state.v_bytes_mut(vd)[n..n + eb].copy_from_slice(&s[..eb]);
+                }
+            }
+            Uop::VaddVx { vd, vs2, rs1 } => {
+                let vl = state.vl();
+                check_grouping_supported(pc, vl, state.vlmax())?;
+                let eb = SEW_INFO[sew_index(ev_sew)].bytes;
+                let s = state.x(rs1);
+                // Copy the source into place, then add in place: correct
+                // for vd == vs2 as well.
+                state.copy_v_bytes(vs2, 0, vd, vl * eb);
+                let dst = &mut state.v_bytes_mut(vd)[..vl * eb];
+                match eb {
+                    1 => dst.iter_mut().for_each(|d| *d = d.wrapping_add(s as u8)),
+                    2 => dst.chunks_exact_mut(2).for_each(|d| {
+                        let v = u16::from_le_bytes([d[0], d[1]]).wrapping_add(s as u16);
+                        d.copy_from_slice(&v.to_le_bytes());
+                    }),
+                    _ => dst.chunks_exact_mut(4).for_each(|d| {
+                        let v = le32(d, 0).wrapping_add(s as u32);
+                        d.copy_from_slice(&v.to_le_bytes());
+                    }),
+                }
+            }
+            Uop::VmvXs { rd, vs2 } => {
+                let v = sign_extend(state.v_lane(vs2, 0, ev_sew), ev_sew) as i64 as u64;
+                state.set_x(rd, v);
+            }
+            Uop::VmvSx { vd, rs1 } => {
+                let v = state.x(rs1) as u32;
+                state.set_v_lane(vd, 0, ev_sew, v);
+            }
+            Uop::VfmvFs { fd, vs2 } => {
+                check_e32_only(pc, ev_sew)?;
+                let bits = state.v_lane(vs2, 0, Sew::E32);
+                state.set_f_bits(fd, bits);
+            }
             Uop::Step => {
                 // Cold path: run the oracle interpreter for this one
                 // instruction (it advances state.pc itself).
@@ -846,6 +953,8 @@ mod tests {
             );
             let v = VReg::new(r);
             assert_eq!(s_engine.v_bytes(v), s_oracle.v_bytes(v), "v{r} diverged");
+            let f = FReg::new(r);
+            assert_eq!(s_engine.f_bits(f), s_oracle.f_bits(f), "f{r} diverged");
         }
         assert_eq!(s_engine.vl(), s_oracle.vl());
         assert_eq!(s_engine.vtype(), s_oracle.vtype());
@@ -1044,7 +1153,8 @@ mod tests {
 
     #[test]
     fn cold_uops_fall_back_to_the_oracle() {
-        // vadd.vv / slides / moves decode to Uop::Step and still execute.
+        // vmv.v.x and vadd.vv are emitted by no kernel builder: they
+        // decode to Uop::Step and still execute.
         let p = fixture(|b| {
             b.li(XReg::T0, 3);
             b.push(Instruction::VmvVx {
@@ -1056,11 +1166,6 @@ mod tests {
                 vs2: VReg::V1,
                 vs1: VReg::V1,
             });
-            b.push(Instruction::Vslide1downVx {
-                vd: VReg::V2,
-                vs2: VReg::V2,
-                rs1: XReg::ZERO,
-            });
             b.push(Instruction::VmvXs {
                 rd: XReg::T1,
                 vs2: VReg::V2,
@@ -1069,7 +1174,97 @@ mod tests {
         });
         let d = DecodedProgram::decode(&p);
         assert!(matches!(d.uops[2], Uop::Step));
+        assert_eq!(d.oracle_slots(), 2);
         assert_parity(&p, |_, _| {});
+    }
+
+    #[test]
+    fn native_slides_and_moves_match_the_oracle_at_each_sew() {
+        for (sew, lmul) in [
+            (Sew::E8, Lmul::M1),
+            (Sew::E16, Lmul::M1),
+            (Sew::E32, Lmul::M1),
+            // vl beyond one register: vadd.vx faults on grouping after
+            // the element-0 moves ran.
+            (Sew::E32, Lmul::M2),
+        ] {
+            let p = fixture(|b| {
+                b.push(Instruction::Vsetvli {
+                    rd: XReg::T0,
+                    rs1: XReg::ZERO,
+                    sew,
+                    lmul,
+                });
+                b.li(XReg::T1, -2);
+                b.push(Instruction::VmvXs {
+                    rd: XReg::T2,
+                    vs2: VReg::V8,
+                });
+                b.push(Instruction::VmvSx {
+                    vd: VReg::V3,
+                    rs1: XReg::T1,
+                });
+                b.push(Instruction::VaddVx {
+                    vd: VReg::new(9),
+                    vs2: VReg::V8,
+                    rs1: XReg::T1,
+                });
+                b.push(Instruction::Vslide1downVx {
+                    vd: VReg::V8,
+                    vs2: VReg::V8,
+                    rs1: XReg::T1,
+                });
+                b.push(Instruction::Vslide1downVx {
+                    vd: VReg::V4,
+                    vs2: VReg::new(9),
+                    rs1: XReg::ZERO,
+                });
+                // e32-only: faults last at e8/e16.
+                b.push(Instruction::VfmvFs {
+                    fd: FReg::F0,
+                    vs2: VReg::V8,
+                });
+                b.halt();
+            });
+            let d = DecodedProgram::decode(&p);
+            assert_eq!(d.oracle_slots(), 0);
+            assert_parity(&p, |s, _| {
+                for r in [8, 9] {
+                    for i in 0..s.lanes(Sew::E8) {
+                        let v = (i as u32).wrapping_mul(0x9D).wrapping_add(r);
+                        s.set_v_lane(VReg::new(r as u8), i, Sew::E8, v);
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn slides_with_vl_zero_leave_the_destination_alone() {
+        let p = fixture(|b| {
+            b.push(Instruction::Vsetvli {
+                rd: XReg::T0,
+                rs1: XReg::T0,
+                sew: Sew::E32,
+                lmul: Lmul::M1,
+            });
+            b.li(XReg::T1, 7);
+            b.push(Instruction::Vslide1downVx {
+                vd: VReg::V2,
+                vs2: VReg::V1,
+                rs1: XReg::T1,
+            });
+            b.push(Instruction::VaddVx {
+                vd: VReg::V2,
+                vs2: VReg::V1,
+                rs1: XReg::T1,
+            });
+            b.halt();
+        });
+        assert_parity(&p, |s, _| {
+            s.set_v_lane(VReg::V1, 1, Sew::E32, 0xABCD);
+            s.set_v_lane(VReg::V2, 0, Sew::E32, 0x1234);
+        });
     }
 
     #[test]

@@ -197,6 +197,21 @@ impl ArchState {
         &mut self.vrf[i * self.vlen_bytes..(i + regs) * self.vlen_bytes]
     }
 
+    /// Copies `len` bytes from byte `src_off` of register `src` to the
+    /// start of register `dst`. The ranges may overlap (`src == dst`),
+    /// as in `memmove`, so a slide or a move needs no scratch buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either range runs past its register.
+    pub(crate) fn copy_v_bytes(&mut self, src: VReg, src_off: usize, dst: VReg, len: usize) {
+        let vb = self.vlen_bytes;
+        assert!(src_off + len <= vb, "byte range outside a single register");
+        let from = src.index() as usize * vb + src_off;
+        self.vrf
+            .copy_within(from..from + len, dst.index() as usize * vb);
+    }
+
     /// Lane `i` of the group of `regs` registers starting at `r`, viewed
     /// at element width `sew` and zero-extended to `u32` raw bits.
     ///

@@ -5,9 +5,10 @@
 //! Under [`TimingKind::Pipelined`](crate::config::TimingKind) results
 //! only appear `FRONT_DEPTH` cycles after fetch, taken branches refill
 //! the whole front end (resolve-in-execute plus the redirect penalty
-//! plus the fetch/decode stages), a skid buffer bounds how far fetch
-//! may run ahead of a stalled issue stage, and every scalar instruction
-//! spends one cycle in writeback.
+//! plus the fetch/decode stages), and every scalar instruction spends
+//! one cycle in writeback. A stalled issue stage does not back-pressure
+//! fetch: a skid-buffer bound would only delay the fetch of
+//! instructions that issue later anyway, so it would move no cycle.
 
 use super::{Core, InstrTiming, IssueClock};
 use crate::config::SimConfig;
@@ -17,8 +18,6 @@ use std::collections::VecDeque;
 
 /// Pipeline stages ahead of issue (fetch + decode).
 const FRONT_DEPTH: u64 = 2;
-/// Decode-buffer slots that let fetch run ahead of a stalled issue.
-const SKID: u64 = 2;
 /// Writeback-stage occupancy per scalar instruction.
 const WB_STAGE: u64 = 1;
 
@@ -106,14 +105,6 @@ impl InOrderIssue {
         self.clock.open_slot(&core.cfg, class.is_vector());
         self.clock.take_slot(class.is_vector());
         let issue_at = self.clock.cycle;
-        if let Some(f) = front.as_deref_mut() {
-            // Fetch may run ahead of a stalled issue only by the skid
-            // buffer; beyond that decode back-pressures fetch.
-            let fetch_floor = issue_at.saturating_sub(FRONT_DEPTH + SKID);
-            if fetch_floor > f.fetch_cycle {
-                f.refetch_at(fetch_floor);
-            }
-        }
 
         // ---- execute by class ----
         // `rob_completion` is when the instruction retires from the
@@ -424,9 +415,9 @@ mod tests {
     #[test]
     fn fetch_runs_ahead_of_a_stalled_issue_stage() {
         // A cold load and its consumer stall issue until the load
-        // returns; fetch meanwhile fills the skid buffer, so the
-        // independent work behind the consumer issues at full width
-        // from the cycle the stall clears.
+        // returns; fetch meanwhile runs ahead, so the independent work
+        // behind the consumer issues at full width from the cycle the
+        // stall clears.
         let width = u64::from(cfg().issue_width);
         let mut t = pipelined();
         t.account(&load_ev(XReg::T0, 0x8000));
