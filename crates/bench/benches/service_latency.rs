@@ -101,17 +101,17 @@ fn measure_shape(label: &str, dims: GemmDims, cfg: &ExperimentConfig) -> Row {
     let (cold, statuses) = service.sweep_grid(&grid).expect("cold sweep runs");
     let cold_ms = t.elapsed().as_secs_f64() * 1e3;
     assert!(
-        statuses.iter().all(|s| s.name() == "computed"),
+        statuses.iter().all(|(_, s)| s.name() == "computed"),
         "cold pass must simulate"
     );
 
     // Warm (memory): same digest, served by the LRU front.
     let warm_mem_us = min_secs(WARM_ITERS, || {
         let (warm, statuses) = service.sweep_grid(&grid).expect("warm sweep runs");
-        debug_assert!(statuses.iter().all(|s| s.name() == "hit"));
+        debug_assert!(statuses.iter().all(|(_, s)| s.name() == "hit"));
         debug_assert_eq!(warm.cells, cold.cells);
     }) * 1e6;
-    service.shutdown();
+    service.shutdown().expect("store flushes");
 
     // Warm (disk): reopen with the LRU disabled, so every hit pays the
     // checksummed log read + record decode.
@@ -119,10 +119,10 @@ fn measure_shape(label: &str, dims: GemmDims, cfg: &ExperimentConfig) -> Row {
     let service = SweepService::start(*cfg, store, 2);
     let warm_disk_us = min_secs(WARM_ITERS, || {
         let (warm, statuses) = service.sweep_grid(&grid).expect("disk-warm sweep runs");
-        debug_assert!(statuses.iter().all(|s| s.name() == "hit"));
+        debug_assert!(statuses.iter().all(|(_, s)| s.name() == "hit"));
         debug_assert_eq!(warm.cells, cold.cells);
     }) * 1e6;
-    service.shutdown();
+    service.shutdown().expect("store flushes");
 
     let _ = std::fs::remove_dir_all(&dir);
     Row {

@@ -43,6 +43,32 @@ impl Algorithm {
         Algorithm::IndexMac2,
         Algorithm::ScalarIndexed,
     ];
+
+    /// Stable short token: the CLI's `--algorithm` vocabulary and the
+    /// persisted record tag.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Algorithm::Dense => "dense",
+            Algorithm::RowWiseSpmm => "rowwise",
+            Algorithm::IndexMac => "indexmac",
+            Algorithm::IndexMac2 => "indexmac2",
+            Algorithm::ScalarIndexed => "scalar",
+        }
+    }
+}
+
+/// Parses an [`Algorithm::tag`].
+impl std::str::FromStr for Algorithm {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Algorithm::ALL
+            .into_iter()
+            .find(|a| a.tag() == s)
+            .ok_or_else(|| {
+                format!("unknown algorithm `{s}` (dense|rowwise|indexmac|indexmac2|scalar)")
+            })
+    }
 }
 
 impl fmt::Display for Algorithm {

@@ -13,10 +13,10 @@
 //!
 //! [`run_grid`]: crate::sweep::run_grid
 
-use crate::experiment::{Algorithm, GemmComparison, LayerResult};
+use crate::experiment::{GemmComparison, LayerResult};
 use crate::sweep::{CellResult, SweepCell};
 use indexmac_isa::InstrClass;
-use indexmac_kernels::{Dataflow, GemmDims};
+use indexmac_kernels::GemmDims;
 use indexmac_mem::MemStats;
 use indexmac_sparse::NmPattern;
 use indexmac_vpu::RunReport;
@@ -25,46 +25,6 @@ use serde::Value;
 /// Version tag of the record encoding itself (independent of the
 /// digest version: the same digest can be re-encoded).
 pub const RECORD_VERSION: u32 = 1;
-
-/// Stable string tag of an [`Algorithm`] (the CLI's vocabulary).
-fn algorithm_name(a: Algorithm) -> &'static str {
-    match a {
-        Algorithm::Dense => "dense",
-        Algorithm::RowWiseSpmm => "rowwise",
-        Algorithm::IndexMac => "indexmac",
-        Algorithm::IndexMac2 => "indexmac2",
-        Algorithm::ScalarIndexed => "scalar",
-    }
-}
-
-fn algorithm_from_name(s: &str) -> Result<Algorithm, String> {
-    Ok(match s {
-        "dense" => Algorithm::Dense,
-        "rowwise" => Algorithm::RowWiseSpmm,
-        "indexmac" => Algorithm::IndexMac,
-        "indexmac2" => Algorithm::IndexMac2,
-        "scalar" => Algorithm::ScalarIndexed,
-        other => return Err(format!("unknown algorithm tag '{other}'")),
-    })
-}
-
-/// Stable string tag of a [`Dataflow`].
-fn dataflow_name(d: Dataflow) -> &'static str {
-    match d {
-        Dataflow::AStationary => "a",
-        Dataflow::BStationary => "b",
-        Dataflow::CStationary => "c",
-    }
-}
-
-fn dataflow_from_name(s: &str) -> Result<Dataflow, String> {
-    Ok(match s {
-        "a" => Dataflow::AStationary,
-        "b" => Dataflow::BStationary,
-        "c" => Dataflow::CStationary,
-        other => return Err(format!("unknown dataflow tag '{other}'")),
-    })
-}
 
 fn dims_value(d: GemmDims) -> Value {
     Value::object([
@@ -109,7 +69,7 @@ fn report_value(r: &RunReport) -> Value {
 
 fn layer_value(l: &LayerResult) -> Value {
     Value::object([
-        ("algorithm", Value::Str(algorithm_name(l.algorithm).into())),
+        ("algorithm", Value::Str(l.algorithm.tag().into())),
         ("pattern_n", Value::UInt(l.pattern.n() as u64)),
         ("pattern_m", Value::UInt(l.pattern.m() as u64)),
         ("gemm", dims_value(l.gemm)),
@@ -128,10 +88,7 @@ pub fn encode_cell_result(r: &CellResult) -> Value {
                 ("dims", dims_value(r.cell.dims)),
                 ("pattern_n", Value::UInt(r.cell.pattern.n() as u64)),
                 ("pattern_m", Value::UInt(r.cell.pattern.m() as u64)),
-                (
-                    "dataflow",
-                    Value::Str(dataflow_name(r.cell.dataflow).into()),
-                ),
+                ("dataflow", Value::Str(r.cell.dataflow.tag().into())),
                 ("seed", Value::UInt(r.cell.seed)),
             ]),
         ),
@@ -218,7 +175,7 @@ fn decode_report(v: &Value) -> Result<RunReport, String> {
 
 fn decode_layer(v: &Value) -> Result<LayerResult, String> {
     Ok(LayerResult {
-        algorithm: algorithm_from_name(field_str(v, "algorithm")?)?,
+        algorithm: field_str(v, "algorithm")?.parse()?,
         pattern: decode_pattern(v)?,
         gemm: decode_dims(field(v, "gemm")?)?,
         full_gemm: decode_dims(field(v, "full_gemm")?)?,
@@ -246,7 +203,7 @@ pub fn decode_cell_result(v: &Value) -> Result<CellResult, String> {
         cell: SweepCell {
             dims: decode_dims(field(cell, "dims")?)?,
             pattern: decode_pattern(cell)?,
-            dataflow: dataflow_from_name(field_str(cell, "dataflow")?)?,
+            dataflow: field_str(cell, "dataflow")?.parse()?,
             seed: field_u64(cell, "seed")?,
         },
         capped: decode_dims(field(v, "capped")?)?,
@@ -260,8 +217,9 @@ pub fn decode_cell_result(v: &Value) -> Result<CellResult, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::ExperimentConfig;
+    use crate::experiment::{Algorithm, ExperimentConfig};
     use crate::sweep::{run_cell, SweepGrid};
+    use indexmac_kernels::Dataflow;
 
     fn sample_results() -> Vec<CellResult> {
         let grid = SweepGrid::new(
@@ -332,17 +290,17 @@ mod tests {
             .contains("baseline"));
 
         assert!(decode_cell_result(&Value::Null).is_err());
-        assert!(algorithm_from_name("gpu").is_err());
-        assert!(dataflow_from_name("x").is_err());
+        assert!("gpu".parse::<Algorithm>().is_err());
+        assert!("x".parse::<Dataflow>().is_err());
     }
 
     #[test]
     fn tags_round_trip_every_variant() {
         for a in Algorithm::ALL {
-            assert_eq!(algorithm_from_name(algorithm_name(a)).unwrap(), a);
+            assert_eq!(a.tag().parse::<Algorithm>().unwrap(), a);
         }
         for d in Dataflow::ALL {
-            assert_eq!(dataflow_from_name(dataflow_name(d)).unwrap(), d);
+            assert_eq!(d.tag().parse::<Dataflow>().unwrap(), d);
         }
     }
 }

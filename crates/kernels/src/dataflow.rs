@@ -34,6 +34,29 @@ impl Dataflow {
         Dataflow::BStationary,
         Dataflow::CStationary,
     ];
+
+    /// Stable short token, `a`, `b` or `c`: the CLI's `--dataflows`
+    /// vocabulary, the daemon's `"dataflows"` entries and the persisted
+    /// record tag.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Dataflow::AStationary => "a",
+            Dataflow::BStationary => "b",
+            Dataflow::CStationary => "c",
+        }
+    }
+}
+
+/// Parses a [`Dataflow::tag`].
+impl std::str::FromStr for Dataflow {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Dataflow::ALL
+            .into_iter()
+            .find(|d| d.tag() == s)
+            .ok_or_else(|| format!("unknown dataflow `{s}` (a|b|c)"))
+    }
 }
 
 impl fmt::Display for Dataflow {

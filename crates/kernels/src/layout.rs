@@ -40,6 +40,30 @@ impl GemmDims {
     }
 }
 
+/// The `RxKxN` form (`rows x inner x cols`).
+impl std::fmt::Display for GemmDims {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}x{}x{}", self.rows, self.inner, self.cols)
+    }
+}
+
+/// Parses the `RxKxN` form [`Display`](std::fmt::Display) prints, each
+/// dimension positive: the CLI's `--dims` token and the daemon's
+/// `"dims"` entries.
+impl std::str::FromStr for GemmDims {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let mut dims = s.split('x').map(|d| d.parse().ok().filter(|&d| d > 0));
+        match (dims.next(), dims.next(), dims.next(), dims.next()) {
+            (Some(Some(rows)), Some(Some(inner)), Some(Some(cols)), None) => {
+                Ok(GemmDims { rows, inner, cols })
+            }
+            _ => Err(format!("dims `{s}` are not RxKxN")),
+        }
+    }
+}
+
 /// Architectural registers available to the resident B tile: `v0..v11`
 /// are reserved for accumulators/metadata/scratch (see the bank table
 /// in `emit.rs`), and the planner keeps the same headroom under
@@ -528,6 +552,23 @@ mod tests {
 
     fn cfg() -> SimConfig {
         SimConfig::table_i()
+    }
+
+    #[test]
+    fn dims_parse_what_they_display() {
+        let d = GemmDims {
+            rows: 8,
+            inner: 64,
+            cols: 32,
+        };
+        assert_eq!(d.to_string(), "8x64x32");
+        assert_eq!("8x64x32".parse::<GemmDims>().unwrap(), d);
+        for bad in ["8x64", "8x64x32x1", "0x64x32", "8xx32", "8x-1x32", ""] {
+            assert!(
+                bad.parse::<GemmDims>().unwrap_err().contains("RxKxN"),
+                "{bad}"
+            );
+        }
     }
 
     fn layout(rows: usize, inner: usize, cols: usize, pattern: NmPattern) -> GemmLayout {

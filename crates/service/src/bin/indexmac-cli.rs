@@ -30,8 +30,10 @@ use indexmac::vpu::{SimConfig, TimingKind};
 use indexmac_models::{
     densenet121, inception_v3, resnet50, GemmCaps, Model, ModelFamily, TransformerConfig,
 };
-use indexmac_service::{run_grid_with_store, ResultStore, SweepService};
+use indexmac_service::{CellStatus, ResultStore, SweepService};
+use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// Parsed command line.
 #[derive(Debug, PartialEq)]
@@ -150,58 +152,10 @@ fn parse_format(s: &str) -> Result<OutputFormat, String> {
     }
 }
 
-fn parse_dims(s: &str) -> Result<GemmDims, String> {
-    let parts: Vec<&str> = s.split('x').collect();
-    let err = || format!("dims `{s}` are not RxKxN");
-    if parts.len() != 3 {
-        return Err(err());
-    }
-    let parse = |p: &str| p.parse::<usize>().ok().filter(|v| *v > 0).ok_or_else(err);
-    Ok(GemmDims {
-        rows: parse(parts[0])?,
-        inner: parse(parts[1])?,
-        cols: parse(parts[2])?,
-    })
-}
-
-fn parse_dataflows(s: &str) -> Result<Vec<Dataflow>, String> {
-    if s == "all" {
-        return Ok(Dataflow::ALL.to_vec());
-    }
-    s.split(',')
-        .map(|f| match f {
-            "a" => Ok(Dataflow::AStationary),
-            "b" => Ok(Dataflow::BStationary),
-            "c" => Ok(Dataflow::CStationary),
-            other => Err(format!("unknown dataflow `{other}` (a|b|c|all)")),
-        })
-        .collect()
-}
-
-fn parse_list<T>(s: &str, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
-    s.split(',').map(item).collect()
-}
-
-fn parse_pattern(s: &str) -> Result<NmPattern, String> {
-    let (n, m) = s
-        .split_once(':')
-        .ok_or_else(|| format!("pattern `{s}` is not N:M"))?;
-    let n: usize = n.parse().map_err(|_| format!("bad N in `{s}`"))?;
-    let m: usize = m.parse().map_err(|_| format!("bad M in `{s}`"))?;
-    NmPattern::new(n, m).map_err(|e| e.to_string())
-}
-
-fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
-    match s {
-        "dense" => Ok(Algorithm::Dense),
-        "rowwise" => Ok(Algorithm::RowWiseSpmm),
-        "indexmac" => Ok(Algorithm::IndexMac),
-        "indexmac2" => Ok(Algorithm::IndexMac2),
-        "scalar" => Ok(Algorithm::ScalarIndexed),
-        other => Err(format!(
-            "unknown algorithm `{other}` (dense|rowwise|indexmac|indexmac2|scalar)"
-        )),
-    }
+/// A comma-separated list of tokens, each parsed by its type's
+/// `FromStr` (`RxKxN` dims, `N:M` patterns, dataflow tags).
+fn parse_list<T: FromStr<Err = String>>(s: &str) -> Result<Vec<T>, String> {
+    s.split(',').map(str::parse).collect()
 }
 
 fn parse_lmul(s: &str) -> Result<usize, String> {
@@ -302,7 +256,7 @@ fn config_for_family(family: ModelFamily) -> ExperimentConfig {
 }
 
 /// Parses the optional `--seed` flag shared by every run subcommand.
-fn parse_seed(opts: &std::collections::HashMap<String, String>) -> Result<Option<u64>, String> {
+fn parse_seed(opts: &HashMap<String, String>) -> Result<Option<u64>, String> {
     match opts.get("seed") {
         Some(s) => Ok(Some(
             s.parse()
@@ -315,9 +269,7 @@ fn parse_seed(opts: &std::collections::HashMap<String, String>) -> Result<Option
 /// Parses the optional `--max-instructions` runaway-guard override
 /// shared by `gemm`, `model` and `sweep` (the default guard stays the
 /// simulator's 2e9 when absent).
-fn parse_max_instructions(
-    opts: &std::collections::HashMap<String, String>,
-) -> Result<Option<u64>, String> {
+fn parse_max_instructions(opts: &HashMap<String, String>) -> Result<Option<u64>, String> {
     match opts.get("max-instructions") {
         Some(s) => {
             let n: u64 = s
@@ -334,7 +286,7 @@ fn parse_max_instructions(
 
 /// Parses the optional `--timing` backend selector shared by `gemm`,
 /// `model` and `sweep` (defaults to the paper's in-order scoreboard).
-fn parse_timing(opts: &std::collections::HashMap<String, String>) -> Result<TimingKind, String> {
+fn parse_timing(opts: &HashMap<String, String>) -> Result<TimingKind, String> {
     match opts.get("timing") {
         Some(s) => s.parse(),
         None => Ok(TimingKind::InOrder),
@@ -353,18 +305,22 @@ fn apply_overrides(cfg: &mut ExperimentConfig, seed: Option<u64>, max_instructio
 
 /// Parses the argument vector (without the program name).
 fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let cmd = it.next().ok_or(USAGE.to_string())?;
-    let mut opts = std::collections::HashMap::new();
-    let rest: Vec<&String> = it.collect();
-    let mut i = 0;
-    while i < rest.len() {
-        let key = rest[i]
+    let (cmd, rest) = args.split_first().ok_or(USAGE.to_string())?;
+    let usage = usage_line(cmd).ok_or_else(|| format!("unknown command `{cmd}`\n{USAGE}"))?;
+    let mut opts = HashMap::new();
+    let mut rest = rest.iter();
+    while let Some(flag) = rest.next() {
+        let key = flag
             .strip_prefix("--")
-            .ok_or(format!("expected --option, got `{}`", rest[i]))?;
-        let value = rest.get(i + 1).ok_or(format!("--{key} needs a value"))?;
-        opts.insert(key.to_string(), (*value).clone());
-        i += 2;
+            .ok_or(format!("expected --option, got `{flag}`"))?;
+        if !usage
+            .split_whitespace()
+            .any(|word| word.trim_start_matches('[') == flag)
+        {
+            return Err(format!("unknown flag `{flag}` for {cmd}\nusage: {usage}"));
+        }
+        let value = rest.next().ok_or(format!("--{key} needs a value"))?;
+        opts.insert(key.to_string(), value.clone());
     }
     let get = |k: &str| opts.get(k).cloned();
     let get_usize = |k: &str, default: usize| -> Result<usize, String> {
@@ -383,7 +339,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
                 return Err("gemm requires --rows, --inner and --cols".to_string());
             }
             let algorithm = match get("algorithm") {
-                Some(a) => Some(parse_algorithm(&a)?),
+                Some(a) => Some(a.parse()?),
                 None => None,
             };
             let sew = match get("sew") {
@@ -404,7 +360,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Gemm {
                 dims: GemmDims { rows, inner, cols },
                 pattern: match get("pattern") {
-                    Some(p) => parse_pattern(&p)?,
+                    Some(p) => p.parse()?,
                     None => NmPattern::P2_4,
                 },
                 algorithm,
@@ -433,7 +389,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
             model: get("model").ok_or("layer requires --model")?,
             name: get("name").ok_or("layer requires --name")?,
             pattern: match get("pattern") {
-                Some(p) => parse_pattern(&p)?,
+                Some(p) => p.parse()?,
                 None => NmPattern::P2_4,
             },
             seed: parse_seed(&opts)?,
@@ -441,7 +397,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
         "model" => Ok(Command::Model {
             preset: get("preset").ok_or("model requires --preset")?,
             pattern: match get("pattern") {
-                Some(p) => parse_pattern(&p)?,
+                Some(p) => p.parse()?,
                 None => NmPattern::P2_4,
             },
             seq_len: match get("seq-len") {
@@ -470,7 +426,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
             let algorithm = match get("algorithm") {
                 None => None,
                 Some(a) if a == "all" => None,
-                Some(a) => Some(parse_algorithm(&a)?),
+                Some(a) => Some(a.parse()?),
             };
             let sew = match get("sew") {
                 Some(s) => Some(parse_sew(&s)?),
@@ -493,7 +449,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Lint {
                 algorithm,
                 dims: match get("dims") {
-                    Some(d) => parse_dims(&d)?,
+                    Some(d) => d.parse()?,
                     None => GemmDims {
                         rows: 16,
                         inner: 64,
@@ -501,7 +457,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
                     },
                 },
                 patterns: match get("patterns") {
-                    Some(p) => parse_list(&p, parse_pattern)?,
+                    Some(p) => parse_list(&p)?,
                     None => NmPattern::EVALUATED.to_vec(),
                 },
                 sew,
@@ -516,13 +472,14 @@ fn parse(args: &[String]) -> Result<Command, String> {
         }
         "sweep" => {
             let dims_spec = get("dims").ok_or("sweep requires --dims RxKxN[,RxKxN...]")?;
-            let dims = parse_list(&dims_spec, parse_dims)?;
+            let dims = parse_list(&dims_spec)?;
             let patterns = match get("patterns") {
-                Some(p) => parse_list(&p, parse_pattern)?,
+                Some(p) => parse_list(&p)?,
                 None => NmPattern::EVALUATED.to_vec(),
             };
-            let dataflows = match get("dataflows") {
-                Some(f) => parse_dataflows(&f)?,
+            let dataflows = match get("dataflows").as_deref() {
+                Some("all") => Dataflow::ALL.to_vec(),
+                Some(f) => parse_list(f)?,
                 None => vec![Dataflow::BStationary],
             };
             let seed = parse_seed(&opts)?;
@@ -574,8 +531,18 @@ fn parse(args: &[String]) -> Result<Command, String> {
                 timing: parse_timing(&opts)?,
             })
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        _ => unreachable!("usage_line knows every command"),
     }
+}
+
+/// The [`USAGE`] line of subcommand `cmd`: the one list of the flags it
+/// accepts, so an unknown or misspelled flag is an error, never ignored.
+fn usage_line(cmd: &str) -> Option<&'static str> {
+    USAGE.lines().map(str::trim).find(|line| {
+        line.strip_prefix("indexmac-cli ")
+            .and_then(|rest| rest.split_whitespace().next())
+            == Some(cmd)
+    })
 }
 
 /// Parses the campaign axes `sweep` and `serve` share (`--sew`,
@@ -583,21 +550,21 @@ fn parse(args: &[String]) -> Result<Command, String> {
 /// and validation rules — these feed [`indexmac::config_digest`], so
 /// both commands must agree on them exactly.
 fn parse_campaign(
-    opts: &std::collections::HashMap<String, String>,
+    opts: &HashMap<String, String>,
 ) -> Result<(Precision, Algorithm, Algorithm, usize), String> {
     let sew = match opts.get("sew") {
         Some(s) => parse_sew(s)?,
         None => Precision::F32,
     };
     let algorithm = match opts.get("algorithm") {
-        Some(a) => parse_algorithm(a)?,
+        Some(a) => a.parse()?,
         // Quantized sweeps default to the kernel pair that owns
         // a widening path: vvi proposed, vx baseline.
         None if sew.is_int() => Algorithm::IndexMac2,
         None => Algorithm::IndexMac,
     };
     let baseline = match opts.get("baseline") {
-        Some(a) => parse_algorithm(a)?,
+        Some(a) => a.parse()?,
         // Comparing the two vindexmac generations is the whole
         // point of `--algorithm indexmac2`; default the baseline
         // to the first generation there, Row-Wise-SpMM otherwise.
@@ -656,17 +623,6 @@ fn print_comparison(
         analyze(&cmp.proposed.report, &cfg.sim)
     );
     Ok(())
-}
-
-/// Short CLI token of an algorithm (the `--algorithm` vocabulary).
-fn algorithm_slug(alg: Algorithm) -> &'static str {
-    match alg {
-        Algorithm::Dense => "dense",
-        Algorithm::RowWiseSpmm => "rowwise",
-        Algorithm::IndexMac => "indexmac",
-        Algorithm::IndexMac2 => "indexmac2",
-        Algorithm::ScalarIndexed => "scalar",
-    }
 }
 
 /// Short element-type token for lint output.
@@ -750,14 +706,11 @@ fn lint_value(results: &[LintResult]) -> serde_json::Value {
         .iter()
         .map(|r| {
             Value::object([
-                ("kernel", Value::Str(algorithm_slug(r.algorithm).into())),
+                ("kernel", Value::Str(r.algorithm.tag().into())),
                 ("sew", Value::Str(precision_slug(r.precision).into())),
                 ("lmul", Value::UInt(r.lmul as u64)),
                 ("pattern", Value::Str(r.pattern.to_string())),
-                (
-                    "gemm",
-                    Value::Str(format!("{}x{}x{}", r.gemm.rows, r.gemm.inner, r.gemm.cols)),
-                ),
+                ("gemm", Value::Str(r.gemm.to_string())),
                 (
                     "static_instructions",
                     Value::UInt(r.static_instructions as u64),
@@ -835,10 +788,7 @@ fn run(cmd: Command) -> Result<(), String> {
             .with_timing(timing);
             apply_overrides(&mut cfg, seed, max_instructions);
             println!(
-                "GEMM {}x{}x{}, A pruned to {pattern}, {} elements, {timing} timing (simulated {:?})\n",
-                dims.rows,
-                dims.inner,
-                dims.cols,
+                "GEMM {dims}, A pruned to {pattern}, {} elements, {timing} timing (simulated {:?})\n",
                 cfg.precision,
                 cfg.caps.apply(dims)
             );
@@ -936,12 +886,10 @@ fn run(cmd: Command) -> Result<(), String> {
             for (layer, result) in m.layers.iter().zip(&c.layers) {
                 let base = &result.comparison.baseline.report;
                 let prop = &result.comparison.proposed.report;
-                let g = layer.gemm;
-                let sim = result.comparison.proposed.gemm;
                 table.row(vec![
                     layer.name.clone(),
-                    format!("{}x{}x{}", g.rows, g.inner, g.cols),
-                    format!("{}x{}x{}", sim.rows, sim.inner, sim.cols),
+                    layer.gemm.to_string(),
+                    result.comparison.proposed.gemm.to_string(),
                     fmt_pair(base.cycles, prop.cycles),
                     fmt_pair(base.instructions, prop.instructions),
                     fmt_speedup(result.comparison.speedup()),
@@ -1006,11 +954,11 @@ fn run(cmd: Command) -> Result<(), String> {
                     ]);
                     for r in &results {
                         table.row(vec![
-                            algorithm_slug(r.algorithm).to_string(),
+                            r.algorithm.tag().to_string(),
                             precision_slug(r.precision).to_string(),
                             r.lmul.to_string(),
                             r.pattern.to_string(),
-                            format!("{}x{}x{}", r.gemm.rows, r.gemm.inner, r.gemm.cols),
+                            r.gemm.to_string(),
                             r.static_instructions.to_string(),
                             r.diagnostics.len().to_string(),
                             if r.verified { "yes" } else { "NO" }.to_string(),
@@ -1021,7 +969,7 @@ fn run(cmd: Command) -> Result<(), String> {
                         for d in &r.diagnostics {
                             println!(
                                 "{} {} lmul{} {}: {d}",
-                                algorithm_slug(r.algorithm),
+                                r.algorithm.tag(),
                                 precision_slug(r.precision),
                                 r.lmul,
                                 r.pattern
@@ -1071,25 +1019,22 @@ fn run(cmd: Command) -> Result<(), String> {
             if let Some(seed) = seed {
                 grid = grid.with_base_seed(seed);
             }
-            // With a store, only cells whose digest is absent simulate;
-            // the merged result is bit-identical to a fresh run either
-            // way, so stdout stays stable and the store note goes to
-            // stderr.
-            let run_store = |store: &mut ResultStore| run_grid_with_store(&grid, &cfg, store);
+            // With a store, the grid runs through the daemon, as under
+            // `serve`: only cells whose digest is absent simulate. The
+            // result is bit-identical to a fresh run either way, so
+            // stdout stays stable and the store note goes to stderr.
             let result = match (&store_dir, threads) {
                 (Some(dir), n) => {
-                    let mut store = ResultStore::open(dir).map_err(|e| e.to_string())?;
-                    let (result, hits, misses) = match n {
-                        Some(n) => rayon::ThreadPoolBuilder::new()
-                            .num_threads(n)
-                            .build()
-                            .map_err(|e| e.to_string())?
-                            .install(|| run_store(&mut store)),
-                        None => run_store(&mut store),
-                    }
-                    .map_err(|e| e.to_string())?;
-                    store.flush().map_err(|e| e.to_string())?;
-                    eprintln!("store {dir}: {hits} hits, {misses} computed");
+                    let store = ResultStore::open(dir).map_err(|e| e.to_string())?;
+                    let service =
+                        SweepService::start(cfg, store, n.unwrap_or_else(available_threads));
+                    let (result, routed) = service.sweep_grid(&grid)?;
+                    service.shutdown().map_err(|e| e.to_string())?;
+                    let hits = routed
+                        .iter()
+                        .filter(|(_, status)| *status == CellStatus::Hit)
+                        .count();
+                    eprintln!("store {dir}: {hits} hits, {} computed", routed.len() - hits);
                     result
                 }
                 (None, Some(n)) => rayon::ThreadPoolBuilder::new()
@@ -1127,11 +1072,10 @@ fn run(cmd: Command) -> Result<(), String> {
                         "normalized mem accesses",
                     ]);
                     for cell in &result.cells {
-                        let d = cell.cell.dims;
                         let base = &cell.comparison.baseline.report;
                         let prop = &cell.comparison.proposed.report;
                         table.row(vec![
-                            format!("{}x{}x{}", d.rows, d.inner, d.cols),
+                            cell.cell.dims.to_string(),
                             cell.cell.pattern.to_string(),
                             cell.cell.dataflow.to_string(),
                             format!("{:#x}", cell.cell.seed),
@@ -1180,7 +1124,7 @@ fn run(cmd: Command) -> Result<(), String> {
             apply_overrides(&mut cfg, None, max_instructions);
             let store = ResultStore::open(&store_dir).map_err(|e| e.to_string())?;
             let threads = if threads == 0 {
-                std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+                available_threads()
             } else {
                 threads
             };
@@ -1195,6 +1139,12 @@ fn run(cmd: Command) -> Result<(), String> {
             Ok(())
         }
     }
+}
+
+/// One thread per available core: the default pool size of `sweep`
+/// and `serve`.
+fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
 
 fn main() -> ExitCode {
@@ -1297,7 +1247,7 @@ mod tests {
             assert!(
                 r.diagnostics.is_empty(),
                 "{} {} lmul{} {}: {:?}",
-                algorithm_slug(r.algorithm),
+                r.algorithm.tag(),
                 precision_slug(r.precision),
                 r.lmul,
                 r.pattern,
@@ -1640,10 +1590,80 @@ mod tests {
         assert!(parse(&argv("gemm --rows"))
             .unwrap_err()
             .contains("needs a value"));
-        assert!(parse_pattern("5").is_err());
-        assert!(parse_pattern("9:4").is_err());
-        assert!(parse_algorithm("gpu").is_err());
+        assert!("5".parse::<NmPattern>().is_err());
+        assert!("9:4".parse::<NmPattern>().is_err());
+        assert!("gpu".parse::<Algorithm>().is_err());
         assert!(model_by_name("vgg").is_err());
+    }
+
+    /// `base` parses; the same line with a misspelled flag fails and
+    /// names it; and every flag of the command's usage line is known.
+    fn assert_strict_flags(base: &str) {
+        parse(&argv(base)).unwrap();
+        let err = parse(&argv(&format!("{base} --seeed 5"))).unwrap_err();
+        assert!(err.contains("unknown flag `--seeed`"), "{base}: {err}");
+        let cmd = base.split_whitespace().next().unwrap();
+        for flag in usage_line(cmd).unwrap().split_whitespace() {
+            let flag = flag.trim_start_matches('[');
+            if flag.starts_with("--") {
+                let err = parse(&argv(&format!("{base} {flag} 1"))).err();
+                assert!(
+                    !err.unwrap_or_default().contains("unknown flag"),
+                    "{cmd} rejects its own {flag}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn config_rejects_unknown_flags() {
+        assert_strict_flags("config");
+    }
+
+    #[test]
+    fn gemm_rejects_unknown_flags() {
+        assert_strict_flags("gemm --rows 8 --inner 32 --cols 16");
+        // A flag of another subcommand is unknown here too.
+        assert!(
+            parse(&argv("gemm --rows 8 --inner 32 --cols 16 --store-dir s"))
+                .unwrap_err()
+                .contains("`--store-dir`")
+        );
+    }
+
+    #[test]
+    fn layer_rejects_unknown_flags() {
+        assert_strict_flags("layer --model resnet50 --name conv1");
+    }
+
+    #[test]
+    fn model_rejects_unknown_flags() {
+        assert_strict_flags("model --preset bert-base");
+    }
+
+    #[test]
+    fn list_rejects_unknown_flags() {
+        assert_strict_flags("list --model resnet50");
+    }
+
+    #[test]
+    fn lint_rejects_unknown_flags() {
+        assert_strict_flags("lint");
+    }
+
+    #[test]
+    fn sweep_rejects_unknown_flags() {
+        assert_strict_flags("sweep --dims 8x64x32");
+        // The underscore spelling of --store-dir must not silently run
+        // without a store.
+        assert!(parse(&argv("sweep --dims 8x64x32 --store_dir s"))
+            .unwrap_err()
+            .contains("`--store_dir`"));
+    }
+
+    #[test]
+    fn serve_rejects_unknown_flags() {
+        assert_strict_flags("serve --store-dir s");
     }
 
     #[test]

@@ -15,17 +15,29 @@
 //!    [`run_cell`], whose per-thread `ExecContext` keeps the simulator
 //!    and decode cache warm across jobs on the same worker.
 //!
+//! All daemon state — the store, the in-flight waiter table, the queue,
+//! the shutdown flag, the counters and the worker handles — sits behind
+//! one mutex. A submission decides hit, coalesce or enqueue under one
+//! hold of it, and a worker persists a result and deregisters its
+//! digest under one hold, so no digest can fall between the store and
+//! the in-flight table and simulate twice. The lock is never held
+//! across a simulation.
+//!
+//! A panicking cell is contained: its worker catches the panic,
+//! deregisters the digest, sends every waiter an error and takes the
+//! next job. The lock is taken through one poison-tolerant helper.
+//!
 //! Shutdown is a graceful drain: workers finish every queued job and
 //! deliver every waiter before joining, so no submitted request is ever
 //! dropped.
 
 use crate::store::{ResultStore, StoreStats};
 use indexmac::digest::{config_digest, Digest};
-use indexmac::experiment::ExperimentConfig;
+use indexmac::experiment::{ExperimentConfig, ExperimentError};
 use indexmac::sweep::{run_cell, CellResult, SweepCell, SweepGrid, SweepResult};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::panic::catch_unwind;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// How a submitted cell was satisfied.
@@ -65,8 +77,10 @@ impl Pending {
     ///
     /// # Errors
     ///
-    /// Simulation errors are stringified (they carry no results); a
-    /// disconnected worker maps to an error rather than a panic.
+    /// Simulation errors and panics are stringified (they carry no
+    /// results). A worker always delivers before it drops a waiter's
+    /// sender; should a sender still vanish, that maps to an error
+    /// rather than a panic.
     pub fn wait(self) -> Result<CellResult, String> {
         self.rx
             .recv()
@@ -96,59 +110,76 @@ pub struct DaemonStats {
 /// The channel a waiter holds while a worker computes its digest.
 type ResultSender = mpsc::Sender<Result<CellResult, String>>;
 
+/// What a worker runs for one job: [`run_cell`] outside the tests.
+type CellRunner = fn(SweepCell, &ExperimentConfig) -> Result<CellResult, ExperimentError>;
+
+/// Everything behind the daemon's one lock.
+struct State {
+    store: ResultStore,
+    inflight: HashMap<Digest, Vec<ResultSender>>,
+    queue: VecDeque<(Digest, SweepCell)>,
+    shutdown: bool,
+    workers: Vec<JoinHandle<()>>,
+    /// The four counters; `queue_depth` and `store` are filled in by
+    /// [`SweepService::stats`].
+    counts: DaemonStats,
+}
+
 struct Shared {
     cfg: ExperimentConfig,
-    store: Mutex<ResultStore>,
-    queue: Mutex<VecDeque<(Digest, SweepCell)>>,
+    run: CellRunner,
+    state: Mutex<State>,
     not_empty: Condvar,
     not_full: Condvar,
-    queue_cap: usize,
-    inflight: Mutex<HashMap<Digest, Vec<ResultSender>>>,
-    shutdown: AtomicBool,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-    computed: AtomicU64,
+}
+
+impl Shared {
+    /// Locks the daemon state, tolerating poison. Simulations run and
+    /// panic outside the lock; a panic inside one of the short critical
+    /// sections fails its own request, never every later one.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The long-lived sweep service: owns the store, the queue and the
 /// worker pool. Cheap to share (`Arc` internally).
 pub struct SweepService {
     shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    threads: usize,
 }
 
-/// Default bound of the work queue.
+/// Bound of the work queue.
 pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
 
 impl SweepService {
     /// Starts `threads` workers over `store`, simulating under `cfg`.
     pub fn start(cfg: ExperimentConfig, store: ResultStore, threads: usize) -> Arc<Self> {
-        Self::start_with_queue(cfg, store, threads, DEFAULT_QUEUE_DEPTH)
+        Self::start_with_runner(cfg, store, threads, run_cell)
     }
 
-    /// [`SweepService::start`] with an explicit queue bound.
-    pub fn start_with_queue(
+    fn start_with_runner(
         cfg: ExperimentConfig,
         store: ResultStore,
         threads: usize,
-        queue_cap: usize,
+        run: CellRunner,
     ) -> Arc<Self> {
+        let threads = threads.max(1);
         let shared = Arc::new(Shared {
             cfg,
-            store: Mutex::new(store),
-            queue: Mutex::new(VecDeque::new()),
+            run,
+            state: Mutex::new(State {
+                store,
+                inflight: HashMap::new(),
+                queue: VecDeque::new(),
+                shutdown: false,
+                workers: Vec::new(),
+                counts: DaemonStats::default(),
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            queue_cap: queue_cap.max(1),
-            inflight: Mutex::new(HashMap::new()),
-            shutdown: AtomicBool::new(false),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            computed: AtomicU64::new(0),
         });
-        let workers = (0..threads.max(1))
+        let workers = (0..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -157,10 +188,8 @@ impl SweepService {
                     .expect("spawn worker thread")
             })
             .collect();
-        Arc::new(Self {
-            shared,
-            workers: Mutex::new(workers),
-        })
+        shared.lock().workers = workers;
+        Arc::new(Self { shared, threads })
     }
 
     /// The campaign configuration every cell runs under.
@@ -169,110 +198,85 @@ impl SweepService {
     }
 
     /// Submits one cell. Never blocks on simulation — only (briefly) on
-    /// the store lock, and on the queue bound when the daemon is
+    /// the state lock, and on the queue bound when the daemon is
     /// saturated.
     pub fn submit(&self, cell: SweepCell) -> Pending {
         let digest = config_digest(&cell, &self.shared.cfg);
         let (tx, rx) = mpsc::channel();
-
-        // Store first: the hot path is a hit served at memory speed.
-        // The inflight check happens *before* the store lock drops —
-        // workers persist a result before deregistering it from
-        // `inflight` (and need the store lock to do so), so a store
-        // miss observed here guarantees any concurrent simulation of
-        // this digest is still registered. Without that ordering a
-        // worker could finish between the two checks and the digest
-        // would be simulated twice.
-        let mut store = self.shared.store.lock().unwrap();
-        if let Some(result) = store.get(digest) {
-            drop(store);
-            self.shared.hits.fetch_add(1, Ordering::Relaxed);
+        let mut state = self.shared.lock();
+        let status = if let Some(result) = state.store.get(digest) {
+            state.counts.hits += 1;
             let _ = tx.send(Ok(result));
-            return Pending {
-                status: CellStatus::Hit,
-                digest,
-                rx,
-            };
-        }
-        let mut inflight = self.shared.inflight.lock().unwrap();
-        drop(store);
-        // Coalesce with an in-flight simulation of the same digest.
-        if let Some(waiters) = inflight.get_mut(&digest) {
+            CellStatus::Hit
+        } else if let Some(waiters) = state.inflight.get_mut(&digest) {
             waiters.push(tx);
-            self.shared.coalesced.fetch_add(1, Ordering::Relaxed);
-            return Pending {
-                status: CellStatus::Coalesced,
-                digest,
-                rx,
-            };
-        }
-        inflight.insert(digest, vec![tx]);
-        drop(inflight);
-
-        // First request: enqueue, respecting the bound.
-        self.shared.misses.fetch_add(1, Ordering::Relaxed);
-        let mut queue = self.shared.queue.lock().unwrap();
-        while queue.len() >= self.shared.queue_cap {
-            queue = self.shared.not_full.wait(queue).unwrap();
-        }
-        queue.push_back((digest, cell));
-        drop(queue);
-        self.shared.not_empty.notify_one();
-        Pending {
-            status: CellStatus::Miss,
-            digest,
-            rx,
-        }
+            state.counts.coalesced += 1;
+            CellStatus::Coalesced
+        } else {
+            state.inflight.insert(digest, vec![tx]);
+            state.counts.misses += 1;
+            let mut state = self
+                .shared
+                .not_full
+                .wait_while(state, |s| s.queue.len() >= DEFAULT_QUEUE_DEPTH)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.queue.push_back((digest, cell));
+            self.shared.not_empty.notify_one();
+            CellStatus::Miss
+        };
+        Pending { status, digest, rx }
     }
 
     /// Runs a whole grid through the daemon: submits every cell, then
     /// waits for all of them in grid order. Equivalent to
     /// [`indexmac::sweep::run_grid`] on a cold store; bit-identical and
-    /// near-instant on a warm one.
+    /// near-instant on a warm one. Beside the result it returns each
+    /// cell's digest and routing, in grid order.
     ///
     /// # Errors
     ///
     /// The first failing cell's stringified error, in grid order.
-    pub fn sweep_grid(&self, grid: &SweepGrid) -> Result<(SweepResult, Vec<CellStatus>), String> {
+    pub fn sweep_grid(
+        &self,
+        grid: &SweepGrid,
+    ) -> Result<(SweepResult, Vec<(Digest, CellStatus)>), String> {
         let pending: Vec<Pending> = grid.cells().into_iter().map(|c| self.submit(c)).collect();
-        let statuses: Vec<CellStatus> = pending.iter().map(|p| p.status).collect();
-        let mut cells = Vec::with_capacity(pending.len());
-        for p in pending {
-            cells.push(p.wait()?);
-        }
+        let routed = pending.iter().map(|p| (p.digest, p.status)).collect();
+        let cells = pending
+            .into_iter()
+            .map(Pending::wait)
+            .collect::<Result<_, _>>()?;
         Ok((
             SweepResult {
                 base_seed: grid.base_seed,
-                threads: self.workers.lock().unwrap().len().max(1),
+                threads: self.threads,
                 precision: self.shared.cfg.precision,
                 timing: self.shared.cfg.sim.timing,
                 cells,
             },
-            statuses,
+            routed,
         ))
     }
 
     /// Looks a digest up in the store without simulating anything
     /// (the `GET /cell/<digest>` route).
     pub fn lookup(&self, digest: Digest) -> Option<CellResult> {
-        self.shared.store.lock().unwrap().get(digest)
+        self.shared.lock().store.get(digest)
     }
 
-    /// Counters snapshot (the `GET /stats` route).
+    /// One consistent snapshot of the counters (the `GET /stats` route).
     pub fn stats(&self) -> DaemonStats {
+        let state = self.shared.lock();
         DaemonStats {
-            hits: self.shared.hits.load(Ordering::Relaxed),
-            misses: self.shared.misses.load(Ordering::Relaxed),
-            coalesced: self.shared.coalesced.load(Ordering::Relaxed),
-            computed: self.shared.computed.load(Ordering::Relaxed),
-            queue_depth: self.shared.queue.lock().unwrap().len(),
-            store: self.shared.store.lock().unwrap().stats(),
+            queue_depth: state.queue.len(),
+            store: state.store.stats(),
+            ..state.counts
         }
     }
 
     /// Whether shutdown has been requested.
     pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.shared.lock().shutdown
     }
 
     /// Flags shutdown without joining anything — the `POST /shutdown`
@@ -280,65 +284,67 @@ impl SweepService {
     /// must not block on worker joins itself. The accept loop notices
     /// the flag and performs the actual [`Self::shutdown`] drain.
     pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.lock().shutdown = true;
         self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
     }
 
     /// Graceful drain: workers finish every queued job, deliver every
     /// waiter, then exit; the store is flushed. Idempotent.
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+    ///
+    /// # Errors
+    ///
+    /// The final store flush's I/O error.
+    pub fn shutdown(&self) -> std::io::Result<()> {
+        let workers = {
+            let mut state = self.shared.lock();
+            state.shutdown = true;
+            std::mem::take(&mut state.workers)
+        };
         self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
-        let workers: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock().unwrap());
         for w in workers {
             let _ = w.join();
         }
-        let _ = self.shared.store.lock().unwrap().flush();
+        self.shared.lock().store.flush()
     }
 }
 
 impl Drop for SweepService {
     fn drop(&mut self) {
-        self.shutdown();
+        let _ = self.shutdown();
     }
 }
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let job = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    shared.not_full.notify_one();
-                    break Some(job);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = shared.not_empty.wait(queue).unwrap();
-            }
+        let mut state = shared
+            .not_empty
+            .wait_while(shared.lock(), |s| s.queue.is_empty() && !s.shutdown)
+            .unwrap_or_else(PoisonError::into_inner);
+        let Some((digest, cell)) = state.queue.pop_front() else {
+            return; // shut down and drained
         };
-        let Some((digest, cell)) = job else { return };
+        drop(state);
+        shared.not_full.notify_one();
 
         // Simulate on this worker's warm per-thread context (reused
         // simulator + decode-once program cache in `indexmac::experiment`).
-        let outcome = run_cell(cell, &shared.cfg).map_err(|e| e.to_string());
-        shared.computed.fetch_add(1, Ordering::Relaxed);
+        // A panic fails this cell only.
+        let (run, cfg) = (shared.run, shared.cfg);
+        let outcome = match catch_unwind(move || run(cell, &cfg)) {
+            Ok(outcome) => outcome.map_err(|e| e.to_string()),
+            Err(_) => Err(format!("simulating cell {digest} panicked")),
+        };
 
-        if let Ok(result) = &outcome {
-            // Persist before waking waiters so a follow-up request from
-            // a woken client is guaranteed a store hit.
-            let _ = shared.store.lock().unwrap().put(digest, result);
-        }
-
-        let waiters = shared
-            .inflight
-            .lock()
-            .unwrap()
-            .remove(&digest)
-            .unwrap_or_default();
+        let waiters = {
+            let mut state = shared.lock();
+            state.counts.computed += 1;
+            if let Ok(result) = &outcome {
+                // Persisted before waking waiters, so a follow-up
+                // request from a woken client is a store hit.
+                let _ = state.store.put(digest, result);
+            }
+            state.inflight.remove(&digest).unwrap_or_default()
+        };
         for tx in waiters {
             let _ = tx.send(outcome.clone());
         }
@@ -380,18 +386,101 @@ mod tests {
         let service = SweepService::start(cfg, store, 2);
         let (cold, cold_status) = service.sweep_grid(&small_grid()).unwrap();
         assert_eq!(cold.cells, reference.cells, "cold sweep = fresh run_grid");
-        assert!(cold_status.iter().all(|s| *s != CellStatus::Hit));
+        assert!(cold_status.iter().all(|(_, s)| *s != CellStatus::Hit));
+        for ((digest, _), cell) in cold_status.iter().zip(small_grid().cells()) {
+            assert_eq!(*digest, config_digest(&cell, &cfg), "digests in grid order");
+        }
 
         let (warm, warm_status) = service.sweep_grid(&small_grid()).unwrap();
         assert_eq!(warm.cells, reference.cells, "warm sweep is bit-identical");
         assert!(
-            warm_status.iter().all(|s| *s == CellStatus::Hit),
+            warm_status.iter().all(|(_, s)| *s == CellStatus::Hit),
             "every warm cell is a store hit: {warm_status:?}"
         );
         let stats = service.stats();
         assert_eq!(stats.computed, 2, "each digest simulated exactly once");
         assert_eq!(stats.hits, 2);
-        service.shutdown();
+        service.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn store_backed_sweep_is_bit_identical_and_reuses_results() {
+        let dir = temp_dir("grid");
+        let cfg = ExperimentConfig::fast();
+        let dims = |rows| GemmDims {
+            rows,
+            inner: 32,
+            cols: 16,
+        };
+        let grid = SweepGrid::new(vec![NmPattern::P1_4], vec![dims(4), dims(8)]);
+        let reference = indexmac::sweep::run_grid(&grid, &cfg).unwrap();
+        let service = SweepService::start(cfg, ResultStore::open(&dir).unwrap(), 2);
+        let statuses = |routed: Vec<(Digest, CellStatus)>| -> Vec<CellStatus> {
+            routed.into_iter().map(|(_, status)| status).collect()
+        };
+
+        // Cold: every cell simulates, bit-identical to a fresh run_grid.
+        let (cold, routed) = service.sweep_grid(&grid).unwrap();
+        assert_eq!(cold.cells, reference.cells);
+        assert_eq!(statuses(routed), [CellStatus::Miss; 2]);
+
+        // Warm: all hits, still identical, nothing simulated.
+        let (warm, routed) = service.sweep_grid(&grid).unwrap();
+        assert_eq!(warm.cells, reference.cells);
+        assert_eq!(statuses(routed), [CellStatus::Hit; 2]);
+
+        // Widening the grid simulates only the new cell.
+        let mut wider = grid.clone();
+        wider.dims.push(dims(16));
+        let (_, routed) = service.sweep_grid(&wider).unwrap();
+        assert_eq!(
+            statuses(routed),
+            [CellStatus::Hit, CellStatus::Hit, CellStatus::Miss]
+        );
+        assert_eq!(service.stats().computed, 3);
+        service.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A runner whose 4-row cells panic; every other cell runs normally.
+    fn panics_on_four_rows(
+        cell: SweepCell,
+        cfg: &ExperimentConfig,
+    ) -> Result<CellResult, ExperimentError> {
+        assert_ne!(cell.dims.rows, 4, "injected cell panic");
+        run_cell(cell, cfg)
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_its_waiters_and_spares_the_pool() {
+        let dir = temp_dir("panic");
+        let cfg = ExperimentConfig::fast();
+        let service = SweepService::start_with_runner(
+            cfg,
+            ResultStore::open(&dir).unwrap(),
+            1,
+            panics_on_four_rows,
+        );
+        let cells = small_grid().cells();
+        // Two waiters on the panicking digest: the miss and a coalesced
+        // request (or a second miss, should the first fail in between).
+        let first = service.submit(cells[0]);
+        let second = service.submit(cells[0]);
+        assert!(first.wait().unwrap_err().contains("panicked"));
+        assert!(second.wait().unwrap_err().contains("panicked"));
+
+        // The lock is usable, nothing was stored, and the lone worker
+        // still takes the next cell.
+        let stats = service.stats();
+        assert_eq!(stats.store.entries, 0);
+        assert_eq!(stats.queue_depth, 0);
+        let mut healthy = cells[0];
+        healthy.dims.rows = 8;
+        let result = service.submit(healthy).wait().unwrap();
+        assert_eq!(result, run_cell(healthy, &cfg).unwrap());
+        assert_eq!(service.stats().store.entries, 1);
+        service.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -402,15 +491,15 @@ mod tests {
         {
             let service = SweepService::start(cfg, ResultStore::open(&dir).unwrap(), 1);
             service.sweep_grid(&small_grid()).unwrap();
-            service.shutdown();
+            service.shutdown().unwrap();
         }
         let service = SweepService::start(cfg, ResultStore::open(&dir).unwrap(), 1);
         let (warm, statuses) = service.sweep_grid(&small_grid()).unwrap();
-        assert!(statuses.iter().all(|s| *s == CellStatus::Hit));
+        assert!(statuses.iter().all(|(_, s)| *s == CellStatus::Hit));
         let reference = indexmac::sweep::run_grid_serial(&small_grid(), &cfg).unwrap();
         assert_eq!(warm.cells, reference.cells);
         assert_eq!(service.stats().computed, 0, "nothing re-simulated");
-        service.shutdown();
+        service.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -424,7 +513,7 @@ mod tests {
         assert!(service.lookup(digest).is_none());
         let result = service.submit(cell).wait().unwrap();
         assert_eq!(service.lookup(digest), Some(result));
-        service.shutdown();
+        service.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -438,7 +527,7 @@ mod tests {
             .into_iter()
             .map(|c| service.submit(c))
             .collect();
-        service.shutdown();
+        service.shutdown().unwrap();
         for p in pending {
             assert!(p.wait().is_ok(), "drained jobs still deliver results");
         }

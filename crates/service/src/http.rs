@@ -37,6 +37,7 @@ use indexmac_sparse::NmPattern;
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -96,8 +97,9 @@ impl Response {
 ///
 /// # Errors
 ///
-/// Propagates listener configuration errors; per-connection errors are
-/// contained to their connection.
+/// Propagates listener configuration errors and the drain's final
+/// store flush error; per-connection errors are contained to their
+/// connection.
 pub fn serve(service: &Arc<SweepService>, listener: TcpListener) -> std::io::Result<()> {
     // Nonblocking accept + poll: `accept` must notice the shutdown
     // flag set by a handler thread, and std has no cross-platform
@@ -125,8 +127,7 @@ pub fn serve(service: &Arc<SweepService>, listener: TcpListener) -> std::io::Res
     for h in handlers {
         let _ = h.join();
     }
-    service.shutdown();
-    Ok(())
+    service.shutdown()
 }
 
 fn handle_connection(service: &Arc<SweepService>, mut stream: TcpStream) {
@@ -261,14 +262,12 @@ fn sweep_response(service: &Arc<SweepService>, body: &[u8]) -> Response {
         Err(message) => return Response::error(400, "Bad Request", &message),
     };
     match service.sweep_grid(&grid) {
-        Ok((result, statuses)) => {
+        Ok((result, routed)) => {
             let cells: Vec<Value> = result
                 .cells
                 .iter()
-                .zip(&statuses)
-                .zip(grid.cells())
-                .map(|((cell_result, status), cell)| {
-                    let digest = indexmac::digest::config_digest(&cell, service.config());
+                .zip(routed)
+                .map(|(cell_result, (digest, status))| {
                     Value::object([
                         ("digest", Value::Str(digest.to_string())),
                         ("status", Value::Str(status.name().into())),
@@ -293,99 +292,39 @@ fn sweep_response(service: &Arc<SweepService>, body: &[u8]) -> Response {
 fn parse_grid(body: &[u8], service: &Arc<SweepService>) -> Result<SweepGrid, String> {
     let text = std::str::from_utf8(body).map_err(|e| format!("body is not UTF-8: {e}"))?;
     let v = serde_json::from_str(text).map_err(|e| format!("body is not JSON: {e}"))?;
-
-    let dims_field = v
-        .get("dims")
-        .and_then(Value::as_array)
-        .ok_or("missing 'dims' array")?;
-    if dims_field.is_empty() {
+    let dims: Vec<GemmDims> = tokens(&v, "dims")?.ok_or("missing 'dims' array")?;
+    if dims.is_empty() {
         return Err("'dims' must not be empty".into());
     }
-    let mut dims = Vec::with_capacity(dims_field.len());
-    for d in dims_field {
-        dims.push(parse_dims_value(d)?);
-    }
-
-    let patterns = match v.get("patterns") {
-        None => NmPattern::EVALUATED.to_vec(),
-        Some(field) => {
-            let items = field.as_array().ok_or("'patterns' must be an array")?;
-            let mut patterns = Vec::with_capacity(items.len());
-            for p in items {
-                patterns.push(parse_pattern_value(p)?);
-            }
-            patterns
-        }
-    };
-
-    let dataflows = match v.get("dataflows") {
-        None => vec![Dataflow::BStationary],
-        Some(field) => {
-            let items = field.as_array().ok_or("'dataflows' must be an array")?;
-            let mut flows = Vec::with_capacity(items.len());
-            for f in items {
-                flows.push(parse_dataflow_value(f)?);
-            }
-            flows
-        }
-    };
-
-    let base_seed = match v.get("base_seed") {
-        None => service.config().seed,
-        Some(s) => s
-            .as_u64()
-            .ok_or("'base_seed' must be an unsigned integer")?,
-    };
-
     Ok(SweepGrid {
-        patterns,
+        patterns: tokens(&v, "patterns")?.unwrap_or_else(|| NmPattern::EVALUATED.to_vec()),
         dims,
-        dataflows,
-        base_seed,
+        dataflows: tokens(&v, "dataflows")?.unwrap_or_else(|| vec![Dataflow::BStationary]),
+        base_seed: match v.get("base_seed") {
+            None => service.config().seed,
+            Some(s) => s
+                .as_u64()
+                .ok_or("'base_seed' must be an unsigned integer")?,
+        },
     })
 }
 
-/// `"RxKxN"` string form of one GEMM shape.
-fn parse_dims_value(v: &Value) -> Result<GemmDims, String> {
-    let s = v.as_str().ok_or("dims entries must be 'RxKxN' strings")?;
-    let parts: Vec<&str> = s.split('x').collect();
-    if parts.len() != 3 {
-        return Err(format!("'{s}' is not RxKxN"));
-    }
-    let parse = |p: &str| -> Result<usize, String> {
-        let n: usize = p
-            .parse()
-            .map_err(|_| format!("'{s}': '{p}' is not a positive integer"))?;
-        if n == 0 {
-            return Err(format!("'{s}': dimensions must be positive"));
-        }
-        Ok(n)
+/// The optional array field `key` of string tokens (`"8x64x32"`,
+/// `"1:4"`, `"b"`), each parsed by its type's `FromStr`.
+fn tokens<T: FromStr<Err = String>>(v: &Value, key: &str) -> Result<Option<Vec<T>>, String> {
+    let Some(field) = v.get(key) else {
+        return Ok(None);
     };
-    Ok(GemmDims {
-        rows: parse(parts[0])?,
-        inner: parse(parts[1])?,
-        cols: parse(parts[2])?,
-    })
-}
-
-/// `"N:M"` string form of a sparsity pattern.
-fn parse_pattern_value(v: &Value) -> Result<NmPattern, String> {
-    let s = v.as_str().ok_or("patterns entries must be 'N:M' strings")?;
-    let (n, m) = s
-        .split_once(':')
-        .ok_or_else(|| format!("'{s}' is not N:M"))?;
-    let n: usize = n.parse().map_err(|_| format!("'{s}' is not N:M"))?;
-    let m: usize = m.parse().map_err(|_| format!("'{s}' is not N:M"))?;
-    NmPattern::new(n, m).map_err(|e| e.to_string())
-}
-
-/// `"a"`/`"b"`/`"c"` (or `"all"` is *not* accepted here — expand
-/// client-side) dataflow tag.
-fn parse_dataflow_value(v: &Value) -> Result<Dataflow, String> {
-    match v.as_str() {
-        Some("a") => Ok(Dataflow::AStationary),
-        Some("b") => Ok(Dataflow::BStationary),
-        Some("c") => Ok(Dataflow::CStationary),
-        _ => Err("dataflow entries must be \"a\", \"b\" or \"c\"".into()),
-    }
+    let items = field
+        .as_array()
+        .ok_or_else(|| format!("'{key}' must be an array"))?;
+    items
+        .iter()
+        .map(|item| {
+            item.as_str()
+                .ok_or_else(|| format!("'{key}' entries must be strings"))?
+                .parse()
+        })
+        .collect::<Result<_, _>>()
+        .map(Some)
 }

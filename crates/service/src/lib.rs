@@ -14,13 +14,12 @@
 //!   truncated on open and the affected digests degrade to misses.
 //! - [`daemon::SweepService`] — a bounded work queue drained by a
 //!   worker pool; concurrent requests for the same digest coalesce
-//!   onto one simulation.
+//!   onto one simulation. It is the one store-backed sweep path:
+//!   `indexmac-cli sweep --store-dir` runs its grid through
+//!   [`SweepService::sweep_grid`] exactly as `serve` does, so only the
+//!   cells whose digest the store lacks simulate.
 //! - [`http`] — `GET /cell/<digest>`, `POST /sweep`, `GET /stats`
-//!   over `std::net::TcpListener` (the registry is unreachable in the
-//!   build environment, so no hyper/tokio).
-//! - [`run_grid_with_store`] — the synchronous path behind
-//!   `indexmac-cli sweep --store-dir`: serve what the store has,
-//!   simulate only the misses, persist them.
+//!   over `std::net::TcpListener` (std only: no hyper/tokio).
 //!
 //! The `indexmac-cli` binary lives in this crate (it grew `serve` and
 //! `--store-dir`, which need the store and daemon; the core crate must
@@ -32,121 +31,3 @@ pub mod store;
 
 pub use daemon::{CellStatus, DaemonStats, SweepService};
 pub use store::{ResultStore, StoreStats};
-
-use indexmac::config_digest;
-use indexmac::experiment::{ExperimentConfig, ExperimentError};
-use indexmac::sweep::{run_cells, CellResult, SweepGrid, SweepResult};
-
-/// [`indexmac::sweep::run_grid`] with a persistent store in front:
-/// cells whose digest is already stored are served from disk, the rest
-/// are simulated in parallel on the current rayon pool and persisted.
-/// Results merge back in grid order, so the output is bit-identical to
-/// a fresh `run_grid` regardless of the hit/miss split.
-///
-/// Returns the sweep result plus the `(hits, misses)` split.
-///
-/// # Errors
-///
-/// Fails with the first simulation error in grid order. Store I/O
-/// errors on `put` are deliberately non-fatal (the sweep already has
-/// the results in memory); they surface on the final flush as a
-/// warning in the CLI, not here.
-pub fn run_grid_with_store(
-    grid: &SweepGrid,
-    cfg: &ExperimentConfig,
-    store: &mut ResultStore,
-) -> Result<(SweepResult, usize, usize), ExperimentError> {
-    let cells = grid.cells();
-    let mut merged: Vec<Option<CellResult>> = vec![None; cells.len()];
-    let mut missing = Vec::new();
-    for (i, cell) in cells.into_iter().enumerate() {
-        let digest = config_digest(&cell, cfg);
-        match store.get(digest) {
-            Some(result) => merged[i] = Some(result),
-            None => missing.push((i, digest, cell)),
-        }
-    }
-    let hits = merged.len() - missing.len();
-    let misses = missing.len();
-
-    let fresh = run_cells(missing.iter().map(|(_, _, c)| *c).collect(), cfg)?;
-    for ((i, digest, _), result) in missing.into_iter().zip(fresh) {
-        let _ = store.put(digest, &result);
-        merged[i] = Some(result);
-    }
-
-    Ok((
-        SweepResult {
-            base_seed: grid.base_seed,
-            threads: rayon::current_num_threads(),
-            precision: cfg.precision,
-            timing: cfg.sim.timing,
-            cells: merged.into_iter().map(Option::unwrap).collect(),
-        },
-        hits,
-        misses,
-    ))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use indexmac::sweep::run_grid;
-    use indexmac_kernels::GemmDims;
-    use indexmac_sparse::NmPattern;
-
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("indexmac-lib-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn small_grid() -> SweepGrid {
-        SweepGrid::new(
-            vec![NmPattern::P1_4],
-            vec![
-                GemmDims {
-                    rows: 4,
-                    inner: 32,
-                    cols: 16,
-                },
-                GemmDims {
-                    rows: 8,
-                    inner: 32,
-                    cols: 16,
-                },
-            ],
-        )
-    }
-
-    #[test]
-    fn store_backed_sweep_is_bit_identical_and_reuses_results() {
-        let dir = temp_dir("grid");
-        let cfg = ExperimentConfig::fast();
-        let grid = small_grid();
-        let reference = run_grid(&grid, &cfg).unwrap();
-
-        let mut store = ResultStore::open(&dir).unwrap();
-        let (cold, hits, misses) = run_grid_with_store(&grid, &cfg, &mut store).unwrap();
-        assert_eq!((hits, misses), (0, 2));
-        assert_eq!(cold.cells, reference.cells);
-
-        // Second run: all hits, still identical, nothing simulated.
-        let (warm, hits, misses) = run_grid_with_store(&grid, &cfg, &mut store).unwrap();
-        assert_eq!((hits, misses), (2, 0));
-        assert_eq!(warm.cells, reference.cells);
-
-        // Widening the grid re-simulates only the new cell.
-        let mut wider = small_grid();
-        wider.dims.push(GemmDims {
-            rows: 16,
-            inner: 32,
-            cols: 16,
-        });
-        let (_, hits, misses) = run_grid_with_store(&wider, &cfg, &mut store).unwrap();
-        assert_eq!((hits, misses), (2, 1));
-
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}

@@ -536,35 +536,69 @@ mod tests {
 
     #[test]
     fn clipped_log_tail_is_a_miss_not_a_panic() {
-        let dir = temp_dir("clipped");
-        let samples = sample(3);
-        let log_path;
-        {
+        // Thousands of reopens, each of which syncs the log and index:
+        // keep them in memory-backed storage where the host has it.
+        let shm = std::path::Path::new("/dev/shm");
+        let dir = if shm.is_dir() {
+            shm.join(format!("indexmac-store-clipped-{}", std::process::id()))
+        } else {
+            temp_dir("clipped")
+        };
+        let samples = sample(4);
+        let (logged, (extra_digest, extra)) = (&samples[..3], &samples[3]);
+        let (log, index) = {
             let mut store = ResultStore::open(&dir).unwrap();
-            for (digest, result) in &samples {
+            for (digest, result) in logged {
                 store.put(*digest, result).unwrap();
             }
-            log_path = store.log_path();
+            store.flush().unwrap();
+            let log = fs::read(store.log_path()).unwrap();
+            (log, fs::read(store.index_path()).unwrap())
+        };
+        // End offset of each record (compact JSON payloads hold no
+        // newline, so every `\n` closes a frame).
+        let ends: Vec<usize> = (1..=log.len()).filter(|&i| log[i - 1] == b'\n').collect();
+        assert_eq!(ends.len(), 3);
+
+        // A torn write can stop at any byte, with or without an index
+        // that still describes the whole log.
+        for cut in 0..=log.len() {
+            for with_index in [false, true] {
+                fs::write(dir.join("results.log"), &log[..cut]).unwrap();
+                if with_index {
+                    fs::write(dir.join("index.json"), &index).unwrap();
+                } else {
+                    let _ = fs::remove_file(dir.join("index.json"));
+                }
+                let kept = ends.iter().filter(|&&end| end <= cut).count();
+                let good_end = if kept == 0 { 0 } else { ends[kept - 1] };
+                let at = format!("cut {cut}, index {with_index}");
+
+                let mut store = ResultStore::open(&dir).unwrap();
+                assert_eq!(store.len(), kept, "{at}");
+                assert_eq!(
+                    store.stats().recovered_bytes,
+                    (cut - good_end) as u64,
+                    "{at}"
+                );
+                for (i, (digest, result)) in logged.iter().enumerate() {
+                    assert_eq!(
+                        store.get(*digest).as_ref(),
+                        (i < kept).then_some(result),
+                        "{at}"
+                    );
+                }
+
+                // The damaged tail was truncated: an append survives a
+                // further reopen.
+                store.put(*extra_digest, extra).unwrap();
+                drop(store);
+                let mut store = ResultStore::open(&dir).unwrap();
+                assert_eq!(store.len(), kept + 1, "{at}");
+                assert_eq!(store.stats().recovered_bytes, 0, "{at}: clean after repair");
+                assert_eq!(store.get(*extra_digest).as_ref(), Some(extra), "{at}");
+            }
         }
-        // Clip the last record mid-payload — a torn final write.
-        let bytes = fs::read(&log_path).unwrap();
-        fs::write(&log_path, &bytes[..bytes.len() - 40]).unwrap();
-
-        let mut store = ResultStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 2, "clipped record drops out of the index");
-        assert!(store.stats().recovered_bytes > 0);
-        assert!(store.get(samples[0].0).is_some());
-        assert!(store.get(samples[1].0).is_some());
-        assert_eq!(store.get(samples[2].0), None, "clipped tail is a miss");
-
-        // The damaged tail was truncated: appends work and survive a
-        // further reopen.
-        store.put(samples[2].0, &samples[2].1).unwrap();
-        drop(store);
-        let mut store = ResultStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.get(samples[2].0).as_ref(), Some(&samples[2].1));
-        assert_eq!(store.stats().recovered_bytes, 0, "clean log after repair");
         fs::remove_dir_all(&dir).unwrap();
     }
 

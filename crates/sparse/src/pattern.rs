@@ -111,9 +111,35 @@ impl fmt::Display for NmPattern {
     }
 }
 
+/// Parses the `N:M` form [`Display`](fmt::Display) prints: the CLI's
+/// `--pattern` token and the daemon's `"patterns"` entries.
+impl std::str::FromStr for NmPattern {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let not_nm = || format!("pattern `{s}` is not N:M");
+        let (n, m) = s.split_once(':').ok_or_else(not_nm)?;
+        let n = n.parse().map_err(|_| not_nm())?;
+        let m = m.parse().map_err(|_| not_nm())?;
+        NmPattern::new(n, m).map_err(|e| e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_rejects_malformed_and_invalid_patterns() {
+        assert_eq!("2:4".parse::<NmPattern>().unwrap(), NmPattern::P2_4);
+        for bad in ["5", "a:4", "1:", "1:4:2"] {
+            assert!(
+                bad.parse::<NmPattern>().unwrap_err().contains("N:M"),
+                "{bad}"
+            );
+        }
+        assert!("9:4".parse::<NmPattern>().is_err());
+    }
 
     #[test]
     fn constructor_validates() {
@@ -178,12 +204,7 @@ mod tests {
             assert_eq!(NmPattern::new(p.n(), p.m()).unwrap(), p);
             // Display renders exactly "N:M", which parses back.
             assert_eq!(p.to_string(), format!("{}:{}", p.n(), p.m()));
-            let (n, m) = p
-                .to_string()
-                .split_once(':')
-                .map(|(a, b)| (a.parse::<usize>().unwrap(), b.parse::<usize>().unwrap()))
-                .unwrap();
-            assert_eq!(NmPattern::new(n, m).unwrap(), p);
+            assert_eq!(p.to_string().parse::<NmPattern>().unwrap(), p);
             // Derived quantities stay self-consistent.
             assert!(p.density() > 0.0 && p.density() <= 1.0);
             assert_eq!(p.slots_for(p.m()), p.n());
