@@ -6,11 +6,11 @@
 //! total execution time".
 //!
 //! Runs Row-Wise-SpMM under all three dataflows on representative
-//! ResNet50 layers, fanned out as one parallel sweep over the
+//! ResNet50 layers, fanned out to the sweep executor over the
 //! (pattern × layer × dataflow) grid.
 
 use indexmac::sparse::NmPattern;
-use indexmac::sweep::{run_cells, SweepCell};
+use indexmac::sweep::{available_threads, run_cells, SweepCell};
 use indexmac::table::Table;
 use indexmac_bench::{banner, Profile};
 use indexmac_kernels::Dataflow;
@@ -50,7 +50,8 @@ fn main() {
                 })
             })
             .collect();
-        let results = run_cells(cells, &base_cfg).expect("simulation succeeds");
+        let results =
+            run_cells(cells, &base_cfg, available_threads()).expect("simulation succeeds");
 
         let mut table = Table::new(vec![
             "layer",

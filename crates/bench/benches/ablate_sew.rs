@@ -9,14 +9,14 @@
 //! instruction cut converts directly into cycles. The integer runs
 //! verify **bit-exactly** against the i32 reference (no tolerance).
 //!
-//! Like the other harnesses, the simulations batch through the
-//! parallel sweep runner (`indexmac::sweep::run_grid`), one grid per
-//! precision, with identical per-cell seeds so only SEW varies.
+//! Like the other harnesses, the simulations batch through the sweep
+//! executor (`indexmac::sweep::run_grid`), one grid per precision, with
+//! identical per-cell seeds so only SEW varies.
 
 use indexmac::experiment::{Algorithm, ExperimentConfig, Precision};
 use indexmac::kernels::GemmDims;
 use indexmac::sparse::NmPattern;
-use indexmac::sweep::{run_grid, SweepGrid, SweepResult};
+use indexmac::sweep::{available_threads, run_grid, SweepGrid, SweepResult};
 use indexmac::table::{fmt_speedup, Table};
 use indexmac_bench::{banner, Profile};
 
@@ -27,7 +27,7 @@ fn sweep_at(precision: Precision, grid: &SweepGrid, base: &ExperimentConfig) -> 
         proposed: Algorithm::IndexMac2,
         ..*base
     };
-    run_grid(grid, &cfg).expect("sweep simulates")
+    run_grid(grid, &cfg, available_threads()).expect("sweep simulates")
 }
 
 fn main() {

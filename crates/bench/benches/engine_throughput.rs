@@ -15,10 +15,11 @@
 //!   Decode is reported as a one-time cost of every cold kernel; the
 //!   static analysis (`analyze_ms`) is the cost of linting the kernel,
 //!   which the simulation path does not pay.
-//! * **cells/sec** — a warm sweep: the same grid swept twice through
-//!   `indexmac::sweep::run_cells` on one thread, so the second pass
-//!   runs entirely against the decode-once `ProgramCache` and the
-//!   reused per-thread simulator.
+//! * **cells/sec** — a warm sweep: the same grid swept twice as a
+//!   `indexmac::sweep::run_cell` loop on the calling thread, so the
+//!   second pass runs entirely against that thread's decode-once
+//!   `ProgramCache` and reused simulator (the bench asserts it decodes
+//!   nothing new).
 //!
 //! `INDEXMAC_PROFILE=smoke` caps every GEMM (CI); `default`/`full` run
 //! the uncapped BERT-FFN shape and the Fig. 4-capped ResNet50 shape.
@@ -29,7 +30,7 @@ use indexmac::experiment::{decode_cache_stats, reset_decode_cache, ExperimentCon
 use indexmac::kernels::{self, indexmac2, rowwise, GemmDims, GemmLayout, KernelParams};
 use indexmac::models::{resnet50, GemmCaps};
 use indexmac::sparse::{prune, quant, DenseMatrix, NmPattern, StructuredSparseMatrix};
-use indexmac::sweep::{run_cells, SweepGrid};
+use indexmac::sweep::{run_cell, SweepGrid};
 use indexmac::vpu::{analyze_with_contract, DecodedProgram, SimConfig, Simulator};
 use indexmac_bench::{banner, write_bench_output, Profile};
 use serde::{Serialize, Value};
@@ -257,13 +258,21 @@ fn measure_sweep(cfg: &ExperimentConfig) -> Value {
     let cells = grid.cells();
     let n_cells = cells.len();
     let n = n_cells as f64;
-    let t = Instant::now();
-    run_cells(cells.clone(), cfg).expect("cold sweep runs");
-    let cold_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    run_cells(cells, cfg).expect("warm sweep runs");
-    let warm_s = t.elapsed().as_secs_f64();
+    let sweep = || {
+        let t = Instant::now();
+        for &cell in &cells {
+            run_cell(cell, cfg).expect("sweep cell runs");
+        }
+        t.elapsed().as_secs_f64()
+    };
+    let cold_s = sweep();
+    let cold_misses = decode_cache_stats().misses;
+    let warm_s = sweep();
     let stats = decode_cache_stats();
+    assert_eq!(
+        stats.misses, cold_misses,
+        "the warm pass must decode nothing new"
+    );
     println!(
         "warm sweep: {:.1} cells/sec cold -> {:.1} cells/sec warm ({n_cells} cells; decode cache: {stats})",
         n / cold_s,

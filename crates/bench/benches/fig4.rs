@@ -19,7 +19,7 @@ fn main() {
 
     for (panel, pattern) in ["(a)", "(b)"].into_iter().zip(NmPattern::EVALUATED) {
         let mut cache = CachedCompare::new(cfg);
-        // Fan the whole layer list through the parallel sweep runner;
+        // Fan the whole layer list out to the sweep executor;
         // the serial loop below then prints from cache hits only.
         cache.warm(model.layers.iter().map(|l| (l.gemm, pattern)));
         let mut table = Table::new(vec!["layer", "GEMM (RxKxN)", "simulated", "speedup"]);

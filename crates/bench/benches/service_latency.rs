@@ -147,7 +147,7 @@ fn measure_scan(cfg: &ExperimentConfig) -> Value {
         }],
     );
     let mut store = ResultStore::open(&dir).expect("store opens");
-    let result = indexmac::sweep::run_grid(&grid, cfg).expect("seed cell simulates");
+    let result = indexmac::sweep::run_grid(&grid, cfg, 1).expect("seed cell simulates");
     let record = &result.cells[0];
     // One real record under many synthetic digests: the scan cost is
     // per-frame, not per-distinct-simulation.

@@ -9,17 +9,17 @@
 //! * `default` — the documented evaluation caps;
 //! * `full` — uncapped layer sizes (hours; the gem5-equivalent run).
 //!
-//! Figure harnesses batch their simulations through the parallel sweep
-//! runner (`indexmac::sweep`) by calling [`CachedCompare::warm`] with
+//! Figure harnesses batch their simulations through the sweep cell
+//! executor (`indexmac::sweep`) by calling [`CachedCompare::warm`] with
 //! the full layer list up front; the printed numbers are identical to
-//! the old serial loops, just produced on every core.
+//! a serial loop, just produced on every core.
 
 #![warn(missing_docs)]
 
 use indexmac::experiment::{compare_gemm, ExperimentConfig, GemmComparison};
 use indexmac::kernels::GemmDims;
 use indexmac::sparse::NmPattern;
-use indexmac::sweep::{run_cells, SweepCell};
+use indexmac::sweep::{available_threads, run_cells, SweepCell};
 use indexmac_models::GemmCaps;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -80,7 +80,7 @@ type CacheKey = (usize, usize, usize, NmPattern);
 /// same GEMM shape share one simulation (capping erases what
 /// distinguished them, so re-running would reproduce identical numbers).
 /// [`CachedCompare::warm`] fills the cache in parallel via the sweep
-/// runner.
+/// executor.
 pub struct CachedCompare {
     cfg: ExperimentConfig,
     cache: HashMap<CacheKey, GemmComparison>,
@@ -118,10 +118,11 @@ impl CachedCompare {
     }
 
     /// Pre-populates the cache by fanning every *distinct capped*
-    /// `(dims, pattern)` request out through the parallel sweep runner
-    /// ([`indexmac::sweep::run_cells`]). Subsequent [`Self::compare`]
-    /// calls are cache hits, so a figure harness becomes: `warm` the
-    /// whole layer list in parallel, then print rows serially.
+    /// `(dims, pattern)` request out to the sweep executor, one worker
+    /// per available core ([`indexmac::sweep::run_cells`]). Subsequent
+    /// [`Self::compare`] calls are cache hits, so a figure harness
+    /// becomes: `warm` the whole layer list in parallel, then print rows
+    /// serially.
     ///
     /// Every warmed cell pins the campaign seed and dataflow, so the
     /// numbers are bit-identical to what a serial `compare` loop would
@@ -149,8 +150,8 @@ impl CachedCompare {
             return;
         }
         let (keys, cells): (Vec<CacheKey>, Vec<SweepCell>) = todo.into_iter().unzip();
-        let results =
-            run_cells(cells, &self.cfg).unwrap_or_else(|e| panic!("sweep warm-up failed: {e}"));
+        let results = run_cells(cells, &self.cfg, available_threads())
+            .unwrap_or_else(|e| panic!("sweep warm-up failed: {e}"));
         for (key, result) in keys.into_iter().zip(results) {
             self.cache.insert(key, result.comparison);
         }

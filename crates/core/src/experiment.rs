@@ -420,8 +420,8 @@ impl ProgramCache {
 
 /// Per-thread warm-execution context: one reusable [`Simulator`] (reset
 /// in place between runs — no fresh `ArchState`/`MainMemory` allocation
-/// per cell) plus the decode-once [`ProgramCache`]. Every worker thread
-/// of a rayon sweep gets its own.
+/// per cell) plus the decode-once [`ProgramCache`]. Every worker of the
+/// sweep executor gets its own and keeps it across its jobs.
 struct ExecContext {
     sim: Option<Simulator>,
     cache: ProgramCache,
@@ -448,9 +448,9 @@ thread_local! {
     });
 }
 
-/// This thread's decode-once kernel-cache statistics (each rayon worker
-/// accumulates its own; the CLI `model` command runs on one thread, so
-/// its printout covers the whole command).
+/// This thread's decode-once kernel-cache statistics (each sweep
+/// executor worker accumulates its own; the CLI `model` command runs on
+/// one thread, so its printout covers the whole command).
 pub fn decode_cache_stats() -> DecodeCacheStats {
     EXEC_CTX.with(|ctx| ctx.borrow().cache.stats)
 }

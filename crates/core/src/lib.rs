@@ -13,7 +13,9 @@
 //! * [`experiment`] — run one (layer, sparsity, algorithm) simulation,
 //!   or a whole CNN comparison (Fig. 4/5/6 building blocks);
 //! * [`sweep`] — fan comparisons out over (pattern × dims × dataflow)
-//!   grids on a rayon thread pool, with deterministic per-cell seeds;
+//!   grids with deterministic per-cell seeds, on the one cell executor
+//!   (a job queue, long-lived workers, coalescing on the cell digest and
+//!   an optional result-store hook) that every sweep runs through;
 //! * [`seqlen`] — sequence-length scaling analysis for the transformer
 //!   workload family;
 //! * [`table`] — plain-text table rendering used by the bench harnesses.

@@ -1,5 +1,5 @@
-//! Parallel experiment sweeps: fan [`compare_gemm`]-style comparisons
-//! out over a (pattern × dims × dataflow) grid on a rayon thread pool.
+//! Experiment sweeps: fan [`compare_gemm`]-style comparisons out over a
+//! (pattern × dims × dataflow) grid on the one cell [`Executor`].
 //!
 //! Every figure of the paper is a loop of independent simulations, and
 //! the follow-up evaluations (arXiv:2501.10189, arXiv:2305.05559) are
@@ -9,15 +9,19 @@
 //! * a [`SweepGrid`] names the cartesian product to cover and derives a
 //!   **deterministic per-cell seed** from its `base_seed`, so a sweep's
 //!   operands do not depend on scheduling, thread count or cell order;
-//! * [`run_cells`] / [`run_grid`] execute cells in parallel (with
-//!   [`run_grid_serial`] as the reference implementation — same seeds
-//!   in, same reports out);
-//! * every worker thread runs **warm**: cells flow through the
-//!   per-thread context of [`crate::experiment`], which reuses one
-//!   `Simulator` via in-place reset and caches built kernels in a
-//!   decode-once `ProgramCache`, so a grid that repeats a shape across
-//!   seeds decodes each distinct kernel exactly once per worker (see
-//!   [`crate::experiment::decode_cache_stats`]);
+//! * the [`Executor`] runs cells from one job queue on long-lived
+//!   workers, coalesces equal cells on their [`config_digest`], contains
+//!   a panicking cell to its own waiters, and consults an optional
+//!   [`CellStore`] (the sweep service's persistent store; `()` for
+//!   in-memory runs);
+//! * [`run_cells`] / [`run_grid`] run cells on a store-less executor of
+//!   an explicit width (with [`run_grid_serial`] as the reference
+//!   implementation — same seeds in, same reports out);
+//! * every worker runs **warm**: cells flow through the per-thread
+//!   context of [`crate::experiment`], which reuses one `Simulator` via
+//!   in-place reset and caches built kernels in a decode-once
+//!   `ProgramCache`, so a worker decodes each distinct kernel once
+//!   across its jobs (see [`crate::experiment::decode_cache_stats`]);
 //! * [`SweepResult`] serializes to JSON through the workspace's `serde`
 //!   shim for downstream tooling.
 //!
@@ -31,17 +35,22 @@
 //!     NmPattern::EVALUATED.to_vec(),
 //!     vec![GemmDims { rows: 8, inner: 64, cols: 32 }],
 //! );
-//! let result = run_grid(&grid, &ExperimentConfig::fast())?;
+//! let result = run_grid(&grid, &ExperimentConfig::fast(), 2)?;
 //! assert_eq!(result.cells.len(), 2);
+//! assert_eq!(result.threads, 2);
 //! assert!(result.cells.iter().all(|c| c.speedup() > 1.0));
-//! # Ok::<(), indexmac::experiment::ExperimentError>(())
+//! # Ok::<(), String>(())
 //! ```
 
+use crate::digest::{config_digest, Digest};
 use crate::experiment::{compare_gemm, ExperimentConfig, ExperimentError, GemmComparison};
 use indexmac_kernels::{Dataflow, GemmDims};
 use indexmac_sparse::NmPattern;
-use rayon::prelude::*;
 use serde::{Serialize, Value};
+use std::collections::{HashMap, VecDeque};
+use std::panic::catch_unwind;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 /// One point of a sweep: a fully specified comparison run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -232,8 +241,8 @@ impl Serialize for CellResult {
 pub struct SweepResult {
     /// Root seed the per-cell seeds derived from.
     pub base_seed: u64,
-    /// Thread count the parallel runner observed (1 for the serial
-    /// reference runner).
+    /// Worker count of the executor that ran the sweep (1 for the
+    /// serial reference runner).
     pub threads: usize,
     /// Element precision every cell ran at (from the campaign
     /// configuration): `f32`, `i16` or `i8`.
@@ -310,41 +319,395 @@ pub fn run_cell(cell: SweepCell, cfg: &ExperimentConfig) -> Result<CellResult, E
     })
 }
 
-/// Runs `cells` in parallel on the current rayon thread pool,
-/// preserving input order. Wrap the call in
-/// `rayon::ThreadPoolBuilder::new().num_threads(n).build()?.install(..)`
-/// to bound the parallelism.
+/// Storage an [`Executor`] consults before it queues a cell and hands
+/// every result a worker computes. `()` stores nothing: every cell not
+/// already in flight simulates.
+pub trait CellStore: Send + 'static {
+    /// The stored result for `digest`, if any.
+    fn lookup(&mut self, digest: Digest) -> Option<CellResult>;
+    /// Records a freshly computed result under its digest.
+    fn persist(&mut self, digest: Digest, result: &CellResult);
+}
+
+impl CellStore for () {
+    fn lookup(&mut self, _: Digest) -> Option<CellResult> {
+        None
+    }
+
+    fn persist(&mut self, _: Digest, _: &CellResult) {}
+}
+
+/// How a submitted cell was satisfied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellStatus {
+    /// Served from the store without simulating.
+    Hit,
+    /// Enqueued for simulation (first request for this digest).
+    Miss,
+    /// Attached to an already-in-flight simulation of the same digest.
+    Coalesced,
+    /// Refused because the executor is shutting down; the result is
+    /// the [`SHUTTING_DOWN`] error.
+    Rejected,
+}
+
+impl CellStatus {
+    /// Stable JSON tag: `hit`, `computed`, `coalesced` or `rejected`.
+    pub fn name(self) -> &'static str {
+        match self {
+            CellStatus::Hit => "hit",
+            CellStatus::Miss => "computed",
+            CellStatus::Coalesced => "coalesced",
+            CellStatus::Rejected => "rejected",
+        }
+    }
+}
+
+/// The error a submission made after shutdown was requested gets.
+pub const SHUTTING_DOWN: &str = "the sweep executor is shutting down";
+
+/// Bound of the job queue: a submission blocks while it is full.
+const QUEUE_DEPTH: usize = 1024;
+
+/// A pending submission: how it was routed plus the channel the result
+/// arrives on (already delivered for hits and rejections).
+pub struct Pending {
+    /// Routing outcome of the submission.
+    pub status: CellStatus,
+    /// The cell's content digest (the store key).
+    pub digest: Digest,
+    rx: mpsc::Receiver<Result<CellResult, String>>,
+}
+
+impl Pending {
+    /// Blocks until the result is available.
+    ///
+    /// # Errors
+    ///
+    /// Simulation errors and panics are stringified (they carry no
+    /// results). A worker always delivers before it drops a waiter's
+    /// sender; should a sender still vanish, that maps to an error
+    /// rather than a panic.
+    pub fn wait(self) -> Result<CellResult, String> {
+        self.rx
+            .recv()
+            .unwrap_or_else(|_| Err("worker dropped without delivering a result".into()))
+    }
+}
+
+/// Monotonic counters across an executor's lifetime, with a snapshot
+/// of its store's own statistics taken at the same instant.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SweepStats<T = ()> {
+    /// Submissions served straight from the store.
+    pub hits: u64,
+    /// Submissions that enqueued a simulation.
+    pub misses: u64,
+    /// Submissions that attached to an in-flight simulation.
+    pub coalesced: u64,
+    /// Simulations actually executed by workers (the invariant under
+    /// coalescing: `computed <= misses`, and `computed` counts each
+    /// distinct digest once however many clients asked for it).
+    pub computed: u64,
+    /// Jobs currently waiting in the queue.
+    pub queue_depth: usize,
+    /// The store's statistics.
+    pub store: T,
+}
+
+/// The channel a waiter holds while a worker computes its digest.
+type ResultSender = mpsc::Sender<Result<CellResult, String>>;
+
+/// What a worker runs for one job: [`run_cell`] outside the tests.
+type CellRunner = fn(SweepCell, &ExperimentConfig) -> Result<CellResult, ExperimentError>;
+
+/// Everything behind the executor's one lock.
+struct State<S> {
+    store: S,
+    inflight: HashMap<Digest, Vec<ResultSender>>,
+    queue: VecDeque<(Digest, SweepCell)>,
+    shutdown: bool,
+    workers: Vec<JoinHandle<()>>,
+    /// The four counters; `queue_depth` is filled in by
+    /// [`Executor::stats`].
+    counts: SweepStats,
+}
+
+struct Shared<S> {
+    cfg: ExperimentConfig,
+    run: CellRunner,
+    state: Mutex<State<S>>,
+    not_empty: Condvar,
+    not_full: Condvar,
+}
+
+impl<S> Shared<S> {
+    /// Locks the executor state, tolerating poison. Simulations run and
+    /// panic outside the lock; a panic inside one of the short critical
+    /// sections fails its own request, never every later one.
+    fn lock(&self) -> MutexGuard<'_, State<S>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The cell executor behind every sweep: a bounded job queue drained by
+/// long-lived workers, with request coalescing over a [`CellStore`].
+///
+/// Submission path for one cell:
+///
+/// 1. digest the `(cell, campaign)` pair ([`config_digest`]);
+/// 2. **store hit**: the result is delivered immediately;
+/// 3. **in flight elsewhere**: the request *coalesces* onto that
+///    simulation, so two concurrent requests for one digest simulate
+///    once;
+/// 4. otherwise a job enters the queue (blocking while it is full) and
+///    a worker simulates it with [`run_cell`], whose per-thread context
+///    keeps the simulator and decode cache warm across its jobs.
+///
+/// All state (the store, the in-flight waiter table, the queue, the
+/// shutdown flag, the counters and the worker handles) sits behind one
+/// mutex. A submission routes under one hold of it, and a worker
+/// persists a result and deregisters its digest under one hold, so no
+/// digest can fall between the store and the in-flight table. The lock
+/// is never held across a simulation.
+///
+/// A panicking cell is contained: its worker catches the panic, sends
+/// every waiter an error and takes the next job. Shutdown is a graceful
+/// drain: workers finish every queued job and deliver every waiter
+/// before they exit; a submission made after it was requested is
+/// rejected at once.
+pub struct Executor<S: CellStore = ()> {
+    shared: Arc<Shared<S>>,
+    threads: usize,
+}
+
+impl<S: CellStore> Executor<S> {
+    /// Starts `threads` workers (at least one) over `store`, simulating
+    /// under `cfg`. These are the only sweep worker threads.
+    pub fn start(cfg: ExperimentConfig, store: S, threads: usize) -> Self {
+        Self::start_with_runner(cfg, store, threads, run_cell)
+    }
+
+    fn start_with_runner(cfg: ExperimentConfig, store: S, threads: usize, run: CellRunner) -> Self {
+        let threads = threads.max(1);
+        let shared = Arc::new(Shared {
+            cfg,
+            run,
+            state: Mutex::new(State {
+                store,
+                inflight: HashMap::new(),
+                queue: VecDeque::new(),
+                shutdown: false,
+                workers: Vec::new(),
+                counts: SweepStats::default(),
+            }),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+        });
+        let workers = (0..threads)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("sweep-worker-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn sweep worker thread")
+            })
+            .collect();
+        shared.lock().workers = workers;
+        Self { shared, threads }
+    }
+
+    /// The campaign configuration every cell runs under.
+    pub fn config(&self) -> &ExperimentConfig {
+        &self.shared.cfg
+    }
+
+    /// Submits one cell. Never blocks on simulation: only (briefly) on
+    /// the state lock, and on the queue bound when the executor is
+    /// saturated.
+    pub fn submit(&self, cell: SweepCell) -> Pending {
+        let digest = config_digest(&cell, &self.shared.cfg);
+        let (tx, rx) = mpsc::channel();
+        let mut state = self.shared.lock();
+        let status = loop {
+            if state.shutdown {
+                let _ = tx.send(Err(SHUTTING_DOWN.into()));
+                break CellStatus::Rejected;
+            } else if let Some(result) = state.store.lookup(digest) {
+                state.counts.hits += 1;
+                let _ = tx.send(Ok(result));
+                break CellStatus::Hit;
+            } else if let Some(waiters) = state.inflight.get_mut(&digest) {
+                waiters.push(tx);
+                state.counts.coalesced += 1;
+                break CellStatus::Coalesced;
+            } else if state.queue.len() < QUEUE_DEPTH {
+                state.inflight.insert(digest, vec![tx]);
+                state.counts.misses += 1;
+                state.queue.push_back((digest, cell));
+                self.shared.not_empty.notify_one();
+                break CellStatus::Miss;
+            }
+            // Full: wait for a worker to take a job, then route afresh.
+            state = self
+                .shared
+                .not_full
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        };
+        Pending { status, digest, rx }
+    }
+
+    /// Runs a whole grid: submits every cell, then waits for all of them
+    /// in grid order. Beside the result it returns each cell's digest
+    /// and routing, in grid order.
+    ///
+    /// # Errors
+    ///
+    /// The first failing cell's stringified error, in grid order.
+    pub fn sweep_grid(
+        &self,
+        grid: &SweepGrid,
+    ) -> Result<(SweepResult, Vec<(Digest, CellStatus)>), String> {
+        let pending: Vec<Pending> = grid.cells().into_iter().map(|c| self.submit(c)).collect();
+        let routed = pending.iter().map(|p| (p.digest, p.status)).collect();
+        let cells = pending
+            .into_iter()
+            .map(Pending::wait)
+            .collect::<Result<_, _>>()?;
+        Ok((
+            SweepResult {
+                base_seed: grid.base_seed,
+                threads: self.threads,
+                precision: self.shared.cfg.precision,
+                timing: self.shared.cfg.sim.timing,
+                cells,
+            },
+            routed,
+        ))
+    }
+
+    /// Runs `f` on the store under the executor's lock.
+    pub fn with_store<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
+        f(&mut self.shared.lock().store)
+    }
+
+    /// One consistent snapshot of the counters, with `store_stats` read
+    /// from the store under the same hold of the lock.
+    pub fn stats<T>(&self, store_stats: impl FnOnce(&S) -> T) -> SweepStats<T> {
+        let state = self.shared.lock();
+        let counts = state.counts;
+        SweepStats {
+            hits: counts.hits,
+            misses: counts.misses,
+            coalesced: counts.coalesced,
+            computed: counts.computed,
+            queue_depth: state.queue.len(),
+            store: store_stats(&state.store),
+        }
+    }
+
+    /// Whether shutdown has been requested.
+    pub fn is_shutting_down(&self) -> bool {
+        self.shared.lock().shutdown
+    }
+
+    /// Flags shutdown without joining anything (for a caller that must
+    /// not block on the drain, such as an HTTP handler). Later
+    /// submissions are rejected; queued jobs still run.
+    pub fn request_shutdown(&self) {
+        self.shared.lock().shutdown = true;
+        self.shared.not_empty.notify_all();
+        self.shared.not_full.notify_all();
+    }
+
+    /// Graceful drain: workers finish every queued job, deliver every
+    /// waiter, then exit and are joined. Idempotent.
+    pub fn shutdown(&self) {
+        self.request_shutdown();
+        let workers = std::mem::take(&mut self.shared.lock().workers);
+        for w in workers {
+            let _ = w.join();
+        }
+    }
+}
+
+impl<S: CellStore> Drop for Executor<S> {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+fn worker_loop<S: CellStore>(shared: &Shared<S>) {
+    loop {
+        let mut state = shared
+            .not_empty
+            .wait_while(shared.lock(), |s| s.queue.is_empty() && !s.shutdown)
+            .unwrap_or_else(PoisonError::into_inner);
+        let Some((digest, cell)) = state.queue.pop_front() else {
+            return; // shut down and drained
+        };
+        drop(state);
+        shared.not_full.notify_all();
+
+        // A panic fails this cell only.
+        let (run, cfg) = (shared.run, shared.cfg);
+        let outcome = match catch_unwind(move || run(cell, &cfg)) {
+            Ok(outcome) => outcome.map_err(|e| e.to_string()),
+            Err(_) => Err(format!("simulating cell {digest} panicked")),
+        };
+
+        let waiters = {
+            let mut state = shared.lock();
+            state.counts.computed += 1;
+            if let Ok(result) = &outcome {
+                // Persisted before waking waiters, so a follow-up
+                // request from a woken client is a store hit.
+                state.store.persist(digest, result);
+            }
+            state.inflight.remove(&digest).unwrap_or_default()
+        };
+        for tx in waiters {
+            let _ = tx.send(outcome.clone());
+        }
+    }
+}
+
+/// One worker per available core: the default executor width.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
+
+/// Runs `cells` on a store-less [`Executor`] of `threads` workers,
+/// preserving input order. Equal cells in one call simulate once.
 ///
 /// # Errors
 ///
-/// Fails with the first cell error in input order (every cell is still
-/// executed — the grid is fanned out before errors are collected).
+/// The first failing cell's stringified error, in input order.
 pub fn run_cells(
     cells: Vec<SweepCell>,
     cfg: &ExperimentConfig,
-) -> Result<Vec<CellResult>, ExperimentError> {
-    cells
-        .into_par_iter()
-        .map(|cell| run_cell(cell, cfg))
-        .collect::<Vec<_>>()
-        .into_iter()
-        .collect()
+    threads: usize,
+) -> Result<Vec<CellResult>, String> {
+    let executor = Executor::start(*cfg, (), threads);
+    let pending: Vec<Pending> = cells.into_iter().map(|c| executor.submit(c)).collect();
+    pending.into_iter().map(Pending::wait).collect()
 }
 
-/// Runs the whole grid in parallel.
+/// Runs the whole grid on a store-less [`Executor`] of `threads`
+/// workers; [`SweepResult::threads`] reports that width.
 ///
 /// # Errors
 ///
 /// See [`run_cells`].
-pub fn run_grid(grid: &SweepGrid, cfg: &ExperimentConfig) -> Result<SweepResult, ExperimentError> {
-    let cells = run_cells(grid.cells(), cfg)?;
-    Ok(SweepResult {
-        base_seed: grid.base_seed,
-        threads: rayon::current_num_threads(),
-        precision: cfg.precision,
-        timing: cfg.sim.timing,
-        cells,
-    })
+pub fn run_grid(
+    grid: &SweepGrid,
+    cfg: &ExperimentConfig,
+    threads: usize,
+) -> Result<SweepResult, String> {
+    Executor::start(*cfg, (), threads)
+        .sweep_grid(grid)
+        .map(|(result, _)| result)
 }
 
 /// Serial reference implementation of [`run_grid`]: a plain
@@ -353,7 +716,7 @@ pub fn run_grid(grid: &SweepGrid, cfg: &ExperimentConfig) -> Result<SweepResult,
 ///
 /// # Errors
 ///
-/// See [`run_cells`].
+/// The first failing cell's error; see [`compare_gemm`].
 pub fn run_grid_serial(
     grid: &SweepGrid,
     cfg: &ExperimentConfig,
@@ -375,7 +738,6 @@ pub fn run_grid_serial(
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::Mutex;
 
     fn small_grid() -> SweepGrid {
         SweepGrid::new(
@@ -423,7 +785,7 @@ mod tests {
     fn parallel_equals_serial_reference() {
         let grid = small_grid();
         let cfg = fast_cfg();
-        let par = run_grid(&grid, &cfg).unwrap();
+        let par = run_grid(&grid, &cfg, 2).unwrap();
         let ser = run_grid_serial(&grid, &cfg).unwrap();
         assert_eq!(
             par.cells, ser.cells,
@@ -437,7 +799,7 @@ mod tests {
         // reports as a hand-written serial compare_gemm loop.
         let grid = small_grid();
         let cfg = fast_cfg();
-        let par = run_grid(&grid, &cfg).unwrap();
+        let par = run_grid(&grid, &cfg, 2).unwrap();
         for (result, cell) in par.cells.iter().zip(grid.cells()) {
             let cell_cfg = ExperimentConfig {
                 seed: cell.seed,
@@ -450,86 +812,102 @@ mod tests {
     }
 
     #[test]
-    fn results_are_identical_across_thread_pool_sizes() {
-        let grid = small_grid();
+    fn run_grid_equals_serial_at_every_width() {
+        // Every width reproduces the serial reference cell for cell and
+        // reports the width it ran at; the reference reports one thread.
+        let grid = small_grid().with_dataflows(Dataflow::ALL.to_vec());
         let cfg = fast_cfg();
-        let mut runs = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let result = pool.install(|| run_grid(&grid, &cfg)).unwrap();
-            assert_eq!(result.threads, threads);
-            runs.push(result.cells);
-        }
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[1], runs[2]);
-    }
-
-    #[test]
-    fn reported_threads_is_the_installed_pool_width() {
-        // `SweepResult.threads` is stamped from
-        // `rayon::current_num_threads()` *inside* the installed scope,
-        // so it must report the pool the sweep ran on — not the global
-        // pool, not the machine's core count.
-        let grid = small_grid();
-        let cfg = fast_cfg();
-        // Oversubscribed: a pool wider than the machine still reports
-        // its configured width.
-        let wide = rayon::ThreadPoolBuilder::new()
-            .num_threads(8)
-            .build()
-            .unwrap();
-        let result = wide.install(|| run_grid(&grid, &cfg)).unwrap();
-        assert_eq!(result.threads, 8);
-        // Nested installs: the innermost pool wins.
-        let inner = rayon::ThreadPoolBuilder::new()
-            .num_threads(3)
-            .build()
-            .unwrap();
-        let nested = wide
-            .install(|| inner.install(|| run_grid(&grid, &cfg)))
-            .unwrap();
-        assert_eq!(nested.threads, 3);
-        // The serial reference always reports exactly one thread,
-        // whatever pool it is called from.
-        let serial = wide.install(|| run_grid_serial(&grid, &cfg)).unwrap();
+        let serial = run_grid_serial(&grid, &cfg).unwrap();
         assert_eq!(serial.threads, 1);
+        for threads in [1usize, 2, 3] {
+            let result = run_grid(&grid, &cfg, threads).unwrap();
+            assert_eq!(result.threads, threads);
+            assert_eq!(result.cells, serial.cells, "{threads} threads");
+        }
+    }
+
+    /// Distinct worker threads that have entered [`meets_a_second_worker`].
+    static SEEN: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
+
+    /// A runner that holds its worker until a second worker has entered
+    /// it too (or 10 s pass), then simulates normally.
+    fn meets_a_second_worker(
+        cell: SweepCell,
+        cfg: &ExperimentConfig,
+    ) -> Result<CellResult, ExperimentError> {
+        let me = std::thread::current().id();
+        let start = std::time::Instant::now();
+        loop {
+            let mut seen = SEEN.lock().unwrap();
+            if !seen.contains(&me) {
+                seen.push(me);
+            }
+            if seen.len() > 1 || start.elapsed().as_secs() >= 10 {
+                break;
+            }
+            drop(seen);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        run_cell(cell, cfg)
     }
 
     #[test]
-    fn sweep_actually_runs_on_multiple_threads() {
-        let grid = SweepGrid::new(
-            vec![NmPattern::P1_4],
-            (1..=8)
-                .map(|r| GemmDims {
-                    rows: r,
-                    inner: 32,
-                    cols: 16,
-                })
-                .collect(),
-        );
-        let cfg = fast_cfg();
-        let seen = Mutex::new(HashSet::new());
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let results: Vec<_> = pool.install(|| {
-            grid.cells()
-                .into_par_iter()
-                .map(|cell| {
-                    seen.lock().unwrap().insert(std::thread::current().id());
-                    run_cell(cell, &cfg).unwrap()
-                })
-                .collect()
-        });
-        assert_eq!(results.len(), 8);
+    fn cells_run_concurrently_on_distinct_workers() {
+        let executor = Executor::start_with_runner(fast_cfg(), (), 2, meets_a_second_worker);
+        let (result, routed) = executor.sweep_grid(&small_grid()).unwrap();
+        assert_eq!(result.cells.len(), 4);
+        assert!(routed.iter().all(|(_, s)| *s == CellStatus::Miss));
         assert!(
-            seen.into_inner().unwrap().len() > 1,
+            SEEN.lock().unwrap().len() > 1,
             "grid cells should spread across worker threads"
         );
+    }
+
+    /// A store that keeps every persisted result in memory.
+    #[derive(Default)]
+    struct MapStore(HashMap<Digest, CellResult>);
+
+    impl CellStore for MapStore {
+        fn lookup(&mut self, digest: Digest) -> Option<CellResult> {
+            self.0.get(&digest).cloned()
+        }
+
+        fn persist(&mut self, digest: Digest, result: &CellResult) {
+            self.0.insert(digest, result.clone());
+        }
+    }
+
+    /// A runner whose 4-row cells panic; every other cell runs normally.
+    fn panics_on_four_rows(
+        cell: SweepCell,
+        cfg: &ExperimentConfig,
+    ) -> Result<CellResult, ExperimentError> {
+        assert_ne!(cell.dims.rows, 4, "injected cell panic");
+        run_cell(cell, cfg)
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_its_waiters_and_spares_the_pool() {
+        let cfg = fast_cfg();
+        let executor =
+            Executor::start_with_runner(cfg, MapStore::default(), 1, panics_on_four_rows);
+        let cells = small_grid().cells();
+        // Two waiters on the panicking digest: the miss and a coalesced
+        // request (or a second miss, should the first fail in between).
+        let first = executor.submit(cells[0]);
+        let second = executor.submit(cells[0]);
+        assert!(first.wait().unwrap_err().contains("panicked"));
+        assert!(second.wait().unwrap_err().contains("panicked"));
+
+        // The lock is usable, nothing was stored, and the lone worker
+        // still takes the next cell.
+        let stats = executor.stats(|s| s.0.len());
+        assert_eq!((stats.store, stats.queue_depth), (0, 0));
+        let mut healthy = cells[0];
+        healthy.dims.rows = 8;
+        let result = executor.submit(healthy).wait().unwrap();
+        assert_eq!(result, run_cell(healthy, &cfg).unwrap());
+        assert_eq!(executor.with_store(|s| s.0.len()), 1);
     }
 
     #[test]
@@ -543,7 +921,7 @@ mod tests {
         };
         let grid = SweepGrid::new(vec![NmPattern::P1_4], vec![dims])
             .with_dataflows(vec![Dataflow::AStationary, Dataflow::BStationary]);
-        let result = run_grid(&grid, &fast_cfg()).unwrap();
+        let result = run_grid(&grid, &fast_cfg(), 2).unwrap();
         let by_flow: Vec<u64> = result
             .cells
             .iter()
@@ -556,7 +934,7 @@ mod tests {
         for c in &mut cells {
             c.seed = 7;
         }
-        let pinned = run_cells(cells, &fast_cfg()).unwrap();
+        let pinned = run_cells(cells, &fast_cfg(), 2).unwrap();
         assert_ne!(
             pinned[0].comparison.baseline.report.cycles,
             pinned[1].comparison.baseline.report.cycles,
@@ -583,7 +961,7 @@ mod tests {
             proposed: Algorithm::IndexMac2,
             ..fast_cfg()
         };
-        let result = run_grid(&grid, &cfg).unwrap();
+        let result = run_grid(&grid, &cfg, 2).unwrap();
         assert_eq!(result.cells.len(), 2);
         for cell in &result.cells {
             let base = &cell.comparison.baseline.report;
@@ -620,7 +998,7 @@ mod tests {
                 cols: 16,
             }],
         );
-        let result = run_grid(&grid, &fast_cfg()).unwrap();
+        let result = run_grid(&grid, &fast_cfg(), 2).unwrap();
         let json = result.to_json();
         assert!(json.contains("\"cells\""));
         assert!(json.contains("\"speedup\""));
@@ -647,7 +1025,7 @@ mod tests {
         );
         let mut results = Vec::new();
         for kind in TimingKind::ALL {
-            let result = run_grid(&grid, &fast_cfg().with_timing(kind)).unwrap();
+            let result = run_grid(&grid, &fast_cfg().with_timing(kind), 2).unwrap();
             assert_eq!(result.timing, kind);
             let json = result.to_json();
             assert!(
@@ -695,7 +1073,7 @@ mod tests {
             caps: indexmac_models::GemmCaps::smoke(),
             ..ExperimentConfig::quantized(Precision::I8)
         };
-        let result = run_grid(&grid, &cfg).unwrap();
+        let result = run_grid(&grid, &cfg, 2).unwrap();
         assert_eq!(result.precision, Precision::I8);
         assert!(result.to_json().contains("\"precision\":\"i8\""));
         for cell in &result.cells {
@@ -777,7 +1155,7 @@ mod tests {
             }],
         );
         assert!(grid.is_empty());
-        let result = run_grid(&grid, &fast_cfg()).unwrap();
+        let result = run_grid(&grid, &fast_cfg(), 2).unwrap();
         assert!(result.cells.is_empty());
         assert_eq!(result.speedup_range(), None);
         assert_eq!(result.geomean_speedup(), None);

@@ -24,7 +24,7 @@ use indexmac::experiment::{
 };
 use indexmac::kernels::{Dataflow, GemmDims, KernelParams};
 use indexmac::sparse::NmPattern;
-use indexmac::sweep::{run_grid, SweepGrid};
+use indexmac::sweep::{available_threads, run_grid, SweepGrid};
 use indexmac::table::{fmt_pair, fmt_pct, fmt_speedup, Table};
 use indexmac::vpu::{SimConfig, TimingKind};
 use indexmac_models::{
@@ -32,8 +32,35 @@ use indexmac_models::{
 };
 use indexmac_service::{CellStatus, ResultStore, SweepService};
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::str::FromStr;
+
+/// `print!` to stdout that returns a failed write as
+/// [`Failure::Stdout`] instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(stdout(), $($arg)*).map_err(Failure::Stdout)?
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(stdout(), $($arg)*).map_err(Failure::Stdout)?
+    };
+}
+
+/// Where command output goes. The unit tests run commands for their
+/// outcome; their output would bypass the test harness's capture, so
+/// there it is dropped.
+fn stdout() -> Box<dyn std::io::Write> {
+    if cfg!(test) {
+        Box::new(std::io::sink())
+    } else {
+        Box::new(std::io::stdout())
+    }
+}
 
 /// Parsed command line.
 #[derive(Debug, PartialEq)]
@@ -607,18 +634,18 @@ fn print_comparison(
     dims: GemmDims,
     pattern: NmPattern,
     cfg: &ExperimentConfig,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let cmp = compare_gemm(dims, pattern, cfg).map_err(|e| e.to_string())?;
-    println!("{:<13} : {}", cfg.baseline.to_string(), cmp.baseline.report);
-    println!("{:<13} : {}", cfg.proposed.to_string(), cmp.proposed.report);
-    println!();
-    println!("speedup                 : {:.2}x", cmp.speedup());
-    println!("normalized mem accesses : {:.1}%", cmp.mem_ratio() * 100.0);
-    println!(
+    outln!("{:<13} : {}", cfg.baseline.to_string(), cmp.baseline.report);
+    outln!("{:<13} : {}", cfg.proposed.to_string(), cmp.proposed.report);
+    outln!();
+    outln!("speedup                 : {:.2}x", cmp.speedup());
+    outln!("normalized mem accesses : {:.1}%", cmp.mem_ratio() * 100.0);
+    outln!(
         "baseline bottleneck     : {}",
         analyze(&cmp.baseline.report, &cfg.sim)
     );
-    println!(
+    outln!(
         "proposed bottleneck     : {}",
         analyze(&cmp.proposed.report, &cfg.sim)
     );
@@ -751,10 +778,10 @@ fn lint_json(results: &[LintResult]) -> String {
     serde_json::to_string(&lint_value(results)).expect("lint JSON serializes")
 }
 
-fn run(cmd: Command) -> Result<(), String> {
+fn run(cmd: Command) -> Result<(), Failure> {
     match cmd {
         Command::Config => {
-            println!("{}", SimConfig::table_i());
+            outln!("{}", SimConfig::table_i());
             Ok(())
         }
         Command::Gemm {
@@ -787,7 +814,7 @@ fn run(cmd: Command) -> Result<(), String> {
             }
             .with_timing(timing);
             apply_overrides(&mut cfg, seed, max_instructions);
-            println!(
+            outln!(
                 "GEMM {dims}, A pruned to {pattern}, {} elements, {timing} timing (simulated {:?})\n",
                 cfg.precision,
                 cfg.caps.apply(dims)
@@ -795,10 +822,10 @@ fn run(cmd: Command) -> Result<(), String> {
             match algorithm {
                 Some(alg) => {
                     let r = run_gemm(dims, pattern, alg, &cfg).map_err(|e| e.to_string())?;
-                    println!("{alg}:\n{}", r.report);
-                    println!("bottleneck: {}", analyze(&r.report, &cfg.sim));
+                    outln!("{alg}:\n{}", r.report);
+                    outln!("bottleneck: {}", analyze(&r.report, &cfg.sim));
                     if cfg.precision.is_int() {
-                        println!("verification: bit-exact against the i32 reference");
+                        outln!("verification: bit-exact against the i32 reference");
                     }
                     Ok(())
                 }
@@ -826,7 +853,7 @@ fn run(cmd: Command) -> Result<(), String> {
             if let Some(seed) = seed {
                 cfg.seed = seed;
             }
-            println!("{layer}  ({pattern}, {} elements)\n", m.precision);
+            outln!("{layer}  ({pattern}, {} elements)\n", m.precision);
             print_comparison(layer.gemm, pattern, &cfg)
         }
         Command::Model {
@@ -860,7 +887,7 @@ fn run(cmd: Command) -> Result<(), String> {
             .with_timing(timing);
             apply_overrides(&mut cfg, seed, max_instructions);
             indexmac::experiment::reset_decode_cache();
-            println!(
+            outln!(
                 "{}: {} {} layers ({} distinct GEMM shapes), {:.2} GMACs, {} elements, A pruned to {pattern}",
                 m.name,
                 m.layers.len(),
@@ -869,9 +896,10 @@ fn run(cmd: Command) -> Result<(), String> {
                 m.total_macs() as f64 / 1e9,
                 m.precision,
             );
-            println!(
+            outln!(
                 "caps: {} | seed {:#x} | {timing} timing\n",
-                cfg.caps, cfg.seed
+                cfg.caps,
+                cfg.seed
             );
             let c = compare_model(&m, pattern, &cfg).map_err(|e| e.to_string())?;
             let mut table = Table::new(vec![
@@ -896,23 +924,25 @@ fn run(cmd: Command) -> Result<(), String> {
                     fmt_pct(result.comparison.mem_ratio()),
                 ]);
             }
-            print!("{}", table.render());
+            out!("{}", table.render());
             let (lo, hi) = c.speedup_range();
             // Report the kernels that actually ran: compare_model may
             // have reconciled the pair for a quantized preset.
             let ran = &c.layers[0].comparison;
-            println!(
+            outln!(
                 "baseline: {} | proposed: {} | {} elements",
-                ran.baseline.algorithm, ran.proposed.algorithm, c.precision,
+                ran.baseline.algorithm,
+                ran.proposed.algorithm,
+                c.precision,
             );
-            println!(
+            outln!(
                 "total speedup {} | normalized mem accesses {} | per-layer range {}-{}",
                 fmt_speedup(c.total_speedup()),
                 fmt_pct(c.total_mem_ratio()),
                 fmt_speedup(lo),
                 fmt_speedup(hi),
             );
-            println!(
+            outln!(
                 "decode cache: {}",
                 indexmac::experiment::decode_cache_stats()
             );
@@ -920,7 +950,7 @@ fn run(cmd: Command) -> Result<(), String> {
         }
         Command::List { model } => {
             let m = model_by_name(&model)?;
-            println!("{m}");
+            outln!("{m}");
             Ok(())
         }
         Command::Lint {
@@ -936,8 +966,8 @@ fn run(cmd: Command) -> Result<(), String> {
             let results = run_lint(algorithm, dims, &patterns, sew, lmul, unroll, tile_rows)?;
             let total_diags: usize = results.iter().map(|r| r.diagnostics.len()).sum();
             match format {
-                OutputFormat::Json => println!("{}", lint_json(&results)),
-                OutputFormat::JsonPretty => println!(
+                OutputFormat::Json => outln!("{}", lint_json(&results)),
+                OutputFormat::JsonPretty => outln!(
                     "{}",
                     serde_json::to_string_pretty(&lint_value(&results)).expect("serializes")
                 ),
@@ -964,10 +994,10 @@ fn run(cmd: Command) -> Result<(), String> {
                             if r.verified { "yes" } else { "NO" }.to_string(),
                         ]);
                     }
-                    print!("{}", table.render());
+                    out!("{}", table.render());
                     for r in &results {
                         for d in &r.diagnostics {
-                            println!(
+                            outln!(
                                 "{} {} lmul{} {}: {d}",
                                 r.algorithm.tag(),
                                 precision_slug(r.precision),
@@ -976,7 +1006,7 @@ fn run(cmd: Command) -> Result<(), String> {
                             );
                         }
                     }
-                    println!(
+                    outln!(
                         "{} kernel configurations linted, {} diagnostics",
                         results.len(),
                         total_diags
@@ -987,7 +1017,8 @@ fn run(cmd: Command) -> Result<(), String> {
                 return Err(format!(
                     "lint found {total_diags} diagnostics across {} configurations",
                     results.len()
-                ));
+                )
+                .into());
             }
             Ok(())
         }
@@ -1023,11 +1054,11 @@ fn run(cmd: Command) -> Result<(), String> {
             // `serve`: only cells whose digest is absent simulate. The
             // result is bit-identical to a fresh run either way, so
             // stdout stays stable and the store note goes to stderr.
-            let result = match (&store_dir, threads) {
-                (Some(dir), n) => {
+            let threads = threads.unwrap_or_else(available_threads);
+            let result = match &store_dir {
+                Some(dir) => {
                     let store = ResultStore::open(dir).map_err(|e| e.to_string())?;
-                    let service =
-                        SweepService::start(cfg, store, n.unwrap_or_else(available_threads));
+                    let service = SweepService::start(cfg, store, threads);
                     let (result, routed) = service.sweep_grid(&grid)?;
                     service.shutdown().map_err(|e| e.to_string())?;
                     let hits = routed
@@ -1037,19 +1068,13 @@ fn run(cmd: Command) -> Result<(), String> {
                     eprintln!("store {dir}: {hits} hits, {} computed", routed.len() - hits);
                     result
                 }
-                (None, Some(n)) => rayon::ThreadPoolBuilder::new()
-                    .num_threads(n)
-                    .build()
-                    .map_err(|e| e.to_string())?
-                    .install(|| run_grid(&grid, &cfg))
-                    .map_err(|e| e.to_string())?,
-                (None, None) => run_grid(&grid, &cfg).map_err(|e| e.to_string())?,
+                None => run_grid(&grid, &cfg, threads)?,
             };
             match format {
-                OutputFormat::Json => println!("{}", result.to_json()),
-                OutputFormat::JsonPretty => println!("{}", result.to_json_pretty()),
+                OutputFormat::Json => outln!("{}", result.to_json()),
+                OutputFormat::JsonPretty => outln!("{}", result.to_json_pretty()),
                 OutputFormat::Table => {
-                    println!(
+                    outln!(
                         "baseline: {} | proposed: {}{} | {} elements | {} timing",
                         cfg.baseline,
                         cfg.proposed,
@@ -1085,11 +1110,11 @@ fn run(cmd: Command) -> Result<(), String> {
                             fmt_pct(cell.mem_ratio()),
                         ]);
                     }
-                    print!("{}", table.render());
+                    out!("{}", table.render());
                     if let (Some((lo, hi)), Some(geo)) =
                         (result.speedup_range(), result.geomean_speedup())
                     {
-                        println!(
+                        outln!(
                             "{} cells on {} threads | speedup range {}-{} | geomean {}",
                             result.cells.len(),
                             result.threads,
@@ -1133,24 +1158,45 @@ fn run(cmd: Command) -> Result<(), String> {
             let local = listener.local_addr().map_err(|e| e.to_string())?;
             // Scripts (the CI smoke) scrape this line for the bound
             // ephemeral port — keep the `http://host:port` shape.
-            println!("listening on http://{local} | {threads} workers | store {store_dir}");
+            outln!("listening on http://{local} | {threads} workers | store {store_dir}");
             indexmac_service::http::serve(&service, listener).map_err(|e| e.to_string())?;
-            println!("drained and stopped");
+            outln!("drained and stopped");
             Ok(())
         }
     }
 }
 
-/// One thread per available core: the default pool size of `sweep`
-/// and `serve`.
-fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+/// Why a command stopped.
+#[derive(Debug)]
+enum Failure {
+    /// An error to report on stderr.
+    Message(String),
+    /// Writing to stdout failed.
+    Stdout(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Failure::Message(message) => f.write_str(message),
+            Failure::Stdout(e) => write!(f, "writing to stdout: {e}"),
+        }
+    }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args).and_then(run) {
+    match parse(&args).map_err(Failure::from).and_then(run) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader went away (`indexmac-cli list | head -1`): nothing
+        // is left to say, so stop quietly.
+        Err(Failure::Stdout(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -1419,7 +1465,8 @@ mod tests {
             max_instructions: Some(5),
             timing: TimingKind::InOrder,
         })
-        .unwrap_err();
+        .unwrap_err()
+        .to_string();
         assert!(err.contains("instruction limit"), "got: {err}");
     }
 
@@ -2056,7 +2103,8 @@ mod tests {
             pattern: NmPattern::P1_4,
             seed: None,
         })
-        .unwrap_err();
+        .unwrap_err()
+        .to_string();
         assert!(err.contains("no layer"));
     }
 }

@@ -10,7 +10,7 @@
 //! | `/healthz` | GET | `200 ok` while the daemon is up |
 //! | `/stats` | GET | hit/miss/coalesced/computed counters, queue depth, store stats |
 //! | `/cell/<digest>` | GET | stored record for a 32-hex digest: `200` record, `404` miss, `400` malformed |
-//! | `/sweep` | POST | JSON grid body → per-cell `{digest, status, result}`; misses simulate on the worker pool |
+//! | `/sweep` | POST | JSON grid body → per-cell `{digest, status, result}`; misses simulate on the worker pool; `503` once shutdown was requested |
 //! | `/shutdown` | POST | graceful drain: stop accepting, finish queued work, flush the store |
 //!
 //! The `POST /sweep` body mirrors [`SweepGrid`]:
@@ -31,7 +31,7 @@
 use crate::daemon::SweepService;
 use indexmac::digest::Digest;
 use indexmac::record::encode_cell_result;
-use indexmac::sweep::SweepGrid;
+use indexmac::sweep::{SweepGrid, SHUTTING_DOWN};
 use indexmac_kernels::{Dataflow, GemmDims};
 use indexmac_sparse::NmPattern;
 use serde::Value;
@@ -284,6 +284,9 @@ fn sweep_response(service: &Arc<SweepService>, body: &[u8]) -> Response {
                 ]),
             )
         }
+        Err(message) if message == SHUTTING_DOWN => {
+            Response::error(503, "Service Unavailable", &message)
+        }
         Err(message) => Response::error(500, "Internal Server Error", &message),
     }
 }
@@ -327,4 +330,32 @@ fn tokens<T: FromStr<Err = String>>(v: &Value, key: &str) -> Result<Option<Vec<T
         })
         .collect::<Result<_, _>>()
         .map(Some)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::ResultStore;
+    use indexmac::experiment::ExperimentConfig;
+
+    #[test]
+    fn a_sweep_after_shutdown_was_requested_answers_503() {
+        let dir = std::env::temp_dir().join(format!("indexmac-http-503-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = SweepService::start(
+            ExperimentConfig::fast(),
+            ResultStore::open(&dir).unwrap(),
+            1,
+        );
+        service.request_shutdown();
+        let request = Request {
+            method: "POST".into(),
+            path: "/sweep".into(),
+            body: br#"{"dims": ["4x32x16"], "patterns": ["1:4"]}"#.to_vec(),
+        };
+        let response = route(&service, &request);
+        assert_eq!(response.status, 503, "body: {}", response.body);
+        service.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

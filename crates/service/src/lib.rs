@@ -12,9 +12,11 @@
 //!   `--store-dir`, keyed by [`indexmac::config_digest`], with an
 //!   in-memory LRU front. Crash-safe: a torn or corrupt log tail is
 //!   truncated on open and the affected digests degrade to misses.
-//! - [`daemon::SweepService`] — a bounded work queue drained by a
-//!   worker pool; concurrent requests for the same digest coalesce
-//!   onto one simulation. It is the one store-backed sweep path:
+//! - [`daemon::SweepService`] — the core's one cell executor
+//!   ([`indexmac::sweep::Executor`]: a bounded job queue drained by
+//!   long-lived workers, where concurrent requests for the same digest
+//!   coalesce onto one simulation) over the store. It is the one
+//!   store-backed sweep path:
 //!   `indexmac-cli sweep --store-dir` runs its grid through
 //!   [`SweepService::sweep_grid`] exactly as `serve` does, so only the
 //!   cells whose digest the store lacks simulate.

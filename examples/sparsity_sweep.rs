@@ -9,7 +9,7 @@
 use indexmac::experiment::{run_gemm, Algorithm, ExperimentConfig};
 use indexmac::kernels::{Dataflow, GemmDims};
 use indexmac::sparse::NmPattern;
-use indexmac::sweep::{run_cells, SweepCell};
+use indexmac::sweep::{available_threads, run_cells, SweepCell};
 use indexmac::table::{fmt_pct, fmt_speedup, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seed: cfg.seed,
         })
         .collect();
-    let result = run_cells(cells, &cfg)?;
+    let result = run_cells(cells, &cfg, available_threads())?;
 
     let mut table = Table::new(vec![
         "N:M",
