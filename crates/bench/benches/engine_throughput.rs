@@ -11,7 +11,10 @@
 //!   ResNet50 `layer2.0.conv2` under the Fig. 4 caps, through the
 //!   legacy stepwise oracle (`run_stepwise_timed`) and the decoded
 //!   engine (`run_decoded`). Both must produce the same `RunReport`;
-//!   the bench asserts it.
+//!   the bench asserts it. The two paths alternate within each timed
+//!   iteration; each reports the minimum, median and p90 of its
+//!   iterations, and the throughput and speedup columns use the
+//!   minimum.
 //!   Decode is reported as a one-time cost of every cold kernel; the
 //!   static analysis (`analyze_ms`) is the cost of linting the kernel,
 //!   which the simulation path does not pay.
@@ -32,7 +35,7 @@ use indexmac::models::{resnet50, GemmCaps};
 use indexmac::sparse::{prune, quant, DenseMatrix, NmPattern, StructuredSparseMatrix};
 use indexmac::sweep::{run_cell, SweepGrid};
 use indexmac::vpu::{analyze_with_contract, DecodedProgram, SimConfig, Simulator};
-use indexmac_bench::{banner, write_bench_output, Profile};
+use indexmac_bench::{banner, write_bench_output, Profile, Spread};
 use serde::{Serialize, Value};
 use std::time::Instant;
 
@@ -79,13 +82,14 @@ struct Row {
     cycles: u64,
     decode_ms: f64,
     analyze_ms: f64,
-    stepwise_ns: f64,
-    decoded_ns: f64,
+    iters: u32,
+    stepwise_ns: Spread,
+    decoded_ns: Spread,
 }
 
 impl Row {
     fn speedup(&self) -> f64 {
-        self.stepwise_ns / self.decoded_ns
+        self.stepwise_ns.min / self.decoded_ns.min
     }
 
     fn ips(&self, ns: f64) -> f64 {
@@ -106,15 +110,26 @@ impl Row {
             ("cycles", self.cycles.to_value()),
             ("decode_ms", self.decode_ms.to_value()),
             ("analyze_ms", self.analyze_ms.to_value()),
-            ("stepwise_timed_run_ns", self.stepwise_ns.to_value()),
-            ("decoded_timed_run_ns", self.decoded_ns.to_value()),
+            ("timed_iters", self.iters.to_value()),
+            ("stepwise_timed_run_ns", self.stepwise_ns.min.to_value()),
+            (
+                "stepwise_timed_run_median_ns",
+                self.stepwise_ns.median.to_value(),
+            ),
+            ("stepwise_timed_run_p90_ns", self.stepwise_ns.p90.to_value()),
+            ("decoded_timed_run_ns", self.decoded_ns.min.to_value()),
+            (
+                "decoded_timed_run_median_ns",
+                self.decoded_ns.median.to_value(),
+            ),
+            ("decoded_timed_run_p90_ns", self.decoded_ns.p90.to_value()),
             (
                 "stepwise_instructions_per_sec",
-                self.ips(self.stepwise_ns).to_value(),
+                self.ips(self.stepwise_ns.min).to_value(),
             ),
             (
                 "decoded_instructions_per_sec",
-                self.ips(self.decoded_ns).to_value(),
+                self.ips(self.decoded_ns.min).to_value(),
             ),
             ("speedup", self.speedup().to_value()),
         ])
@@ -201,23 +216,19 @@ fn measure_row(
 
     // The two paths are interleaved within each iteration (rather
     // than measured in back-to-back blocks) so slow drift of the
-    // host — CPU frequency, steal time — lands on all of them equally.
-    // Each path reports its *minimum* over the iterations: on a shared
-    // host a steal-time spike only ever adds time, so the minimum is
-    // the estimate closest to the undisturbed cost (a mean lets one
-    // spike in one path skew every ratio).
-    let mut stepwise_s = f64::INFINITY;
-    let mut decoded_s = f64::INFINITY;
+    // host — CPU frequency, steal time — lands on both equally.
+    let mut stepwise_s = Vec::new();
+    let mut decoded_s = Vec::new();
     for _ in 0..iters {
         let t = Instant::now();
         let r = sim
             .run_stepwise_timed(&program)
             .expect("legacy loop executes");
-        stepwise_s = stepwise_s.min(t.elapsed().as_secs_f64());
+        stepwise_s.push(t.elapsed().as_secs_f64());
         assert_eq!(r, report, "stepwise oracle diverged");
         let t = Instant::now();
         let r = sim.run_decoded(&decoded).expect("decoded engine executes");
-        decoded_s = decoded_s.min(t.elapsed().as_secs_f64());
+        decoded_s.push(t.elapsed().as_secs_f64());
         assert_eq!(r, report, "decoded engine diverged");
     }
 
@@ -231,8 +242,9 @@ fn measure_row(
         cycles: report.cycles,
         decode_ms,
         analyze_ms,
-        stepwise_ns: stepwise_s * 1e9,
-        decoded_ns: decoded_s * 1e9,
+        iters,
+        stepwise_ns: Spread::of(&stepwise_s).scaled(1e9),
+        decoded_ns: Spread::of(&decoded_s).scaled(1e9),
     }
 }
 
@@ -347,7 +359,7 @@ fn main() {
         ),
     ];
     println!(
-        "{:<21} {:<13} {:>4} {:>4} {:>12} {:>10} {:>10} {:>11} {:>11} {:>8} {:>12}",
+        "{:<21} {:<13} {:>4} {:>4} {:>12} {:>10} {:>10} {:>26} {:>26} {:>8} {:>12}",
         "row",
         "kernel",
         "sew",
@@ -355,14 +367,22 @@ fn main() {
         "dyn instrs",
         "decode ms",
         "analyze ms",
-        "stepwise ms",
-        "decoded ms",
+        "stepwise ms min/med/p90",
+        "decoded ms min/med/p90",
         "speedup",
         "decoded Mi/s"
     );
+    let ms = |s: Spread| {
+        format!(
+            "{:.2}/{:.2}/{:.2}",
+            s.min / 1e6,
+            s.median / 1e6,
+            s.p90 / 1e6
+        )
+    };
     for r in &rows {
         println!(
-            "{:<21} {:<13} {:>4} {:>4} {:>12} {:>10.1} {:>10.1} {:>11.2} {:>11.2} {:>7.2}x {:>12.1}",
+            "{:<21} {:<13} {:>4} {:>4} {:>12} {:>10.1} {:>10.1} {:>26} {:>26} {:>7.2}x {:>12.1}",
             r.label,
             r.kernel.name(),
             format!("e{}", r.sew_bits),
@@ -370,10 +390,10 @@ fn main() {
             r.instructions,
             r.decode_ms,
             r.analyze_ms,
-            r.stepwise_ns / 1e6,
-            r.decoded_ns / 1e6,
+            ms(r.stepwise_ns),
+            ms(r.decoded_ns),
             r.speedup(),
-            r.ips(r.decoded_ns) / 1e6,
+            r.ips(r.decoded_ns.min) / 1e6,
         );
     }
 

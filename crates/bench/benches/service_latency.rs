@@ -3,13 +3,16 @@
 //! shape, plus the store's open/scan throughput. Emits
 //! `BENCH_service.json`.
 //!
-//! Three latencies per shape, all through `SweepService::sweep_grid`
-//! so they include the digest, store and daemon overheads a real
-//! client pays:
+//! Three latencies per shape through `SweepService::sweep_grid`, so
+//! they include the digest, store and daemon overheads a real client
+//! pays, and one over HTTP:
 //!
 //! * **cold** — empty store: the cell simulates on a worker;
 //! * **warm (memory)** — same digest again: served by the store's LRU
 //!   front;
+//! * **warm (HTTP)** — the same hit as a loopback `POST /sweep` round
+//!   trip on a fresh connection (the front end's accept, parse and
+//!   serialize on top of the in-process hit), median and p90;
 //! * **warm (disk)** — a reopened store with the LRU disabled: served
 //!   by a checksummed log read + record decode.
 //!
@@ -24,15 +27,20 @@
 use indexmac::experiment::ExperimentConfig;
 use indexmac::sweep::SweepGrid;
 use indexmac::Digest;
-use indexmac_bench::{banner, write_bench_output, Profile};
+use indexmac_bench::{banner, write_bench_output, Profile, Spread};
 use indexmac_kernels::GemmDims;
-use indexmac_service::{ResultStore, SweepService};
+use indexmac_service::{http, ResultStore, SweepService};
 use indexmac_sparse::NmPattern;
 use serde::{Serialize, Value};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Warm-path iterations (the minimum is reported; see
-/// `engine_throughput` for why minimum beats mean on shared hosts).
+/// Warm-path iterations. In process the minimum is reported (see
+/// `indexmac_bench::Spread` for why minimum beats mean on shared
+/// hosts); over HTTP, where the front end's share is the question, the
+/// median and p90.
 const WARM_ITERS: usize = 200;
 /// Synthetic records for the store-scan measurement.
 const SCAN_RECORDS: usize = 512;
@@ -42,6 +50,7 @@ struct Row {
     dims: GemmDims,
     cold_ms: f64,
     warm_mem_us: f64,
+    warm_http_us: Spread,
     warm_disk_us: f64,
 }
 
@@ -63,6 +72,11 @@ impl Row {
             ),
             ("cold_miss_ms", self.cold_ms.to_value()),
             ("warm_hit_memory_us", self.warm_mem_us.to_value()),
+            (
+                "warm_hit_http_median_us",
+                self.warm_http_us.median.to_value(),
+            ),
+            ("warm_hit_http_p90_us", self.warm_http_us.p90.to_value()),
             ("warm_hit_disk_us", self.warm_disk_us.to_value()),
             ("warm_memory_speedup", self.mem_speedup().to_value()),
             ("warm_disk_speedup", self.disk_speedup().to_value()),
@@ -90,6 +104,52 @@ fn min_secs(iters: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// One `POST` on a fresh connection; returns the whole reply.
+fn post(addr: SocketAddr, path: &str, body: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("daemon accepts");
+    stream.set_nodelay(true).expect("nodelay");
+    let request = format!(
+        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(request.as_bytes()).expect("request sent");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("reply read");
+    reply
+}
+
+/// Serves `service` on loopback and times `WARM_ITERS` hits on `grid`
+/// (already stored) as HTTP round trips; shuts the service down.
+fn http_hits(service: &Arc<SweepService>, grid: &SweepGrid) -> Spread {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback binds");
+    let addr = listener.local_addr().expect("bound address");
+    let served = Arc::clone(service);
+    let server = std::thread::spawn(move || http::serve(&served, listener));
+    let dims = grid.dims[0];
+    let body = format!(
+        "{{\"dims\": [\"{}x{}x{}\"], \"patterns\": [\"{}\"], \"base_seed\": {}}}",
+        dims.rows, dims.inner, dims.cols, grid.patterns[0], grid.base_seed
+    );
+    let samples: Vec<f64> = (0..WARM_ITERS)
+        .map(|_| {
+            let t = Instant::now();
+            let reply = post(addr, "/sweep", &body);
+            let us = t.elapsed().as_secs_f64() * 1e6;
+            assert!(
+                reply.starts_with("HTTP/1.1 200") && reply.contains("\"status\":\"hit\""),
+                "HTTP hit failed: {reply}"
+            );
+            us
+        })
+        .collect();
+    post(addr, "/shutdown", "");
+    server
+        .join()
+        .expect("serve thread panicked")
+        .expect("daemon drains");
+    Spread::of(&samples)
+}
+
 fn measure_shape(label: &str, dims: GemmDims, cfg: &ExperimentConfig) -> Row {
     let dir = temp_dir(label);
     let grid = SweepGrid::new(vec![NmPattern::P1_4], vec![dims]);
@@ -111,7 +171,9 @@ fn measure_shape(label: &str, dims: GemmDims, cfg: &ExperimentConfig) -> Row {
         debug_assert!(statuses.iter().all(|(_, s)| s.name() == "hit"));
         debug_assert_eq!(warm.cells, cold.cells);
     }) * 1e6;
-    service.shutdown().expect("store flushes");
+    // Warm (HTTP): the same hit through the front end; `serve` drains
+    // the service when it returns.
+    let warm_http_us = http_hits(&service, &grid);
 
     // Warm (disk): reopen with the LRU disabled, so every hit pays the
     // checksummed log read + record decode.
@@ -130,6 +192,7 @@ fn measure_shape(label: &str, dims: GemmDims, cfg: &ExperimentConfig) -> Row {
         dims,
         cold_ms,
         warm_mem_us,
+        warm_http_us,
         warm_disk_us,
     }
 }
@@ -227,16 +290,24 @@ fn main() {
         .collect();
 
     println!(
-        "{:<18} {:>12} {:>12} {:>14} {:>13} {:>11} {:>11}",
-        "shape", "dims", "cold ms", "warm(mem) us", "warm(disk) us", "mem x", "disk x"
+        "{:<18} {:>12} {:>12} {:>14} {:>20} {:>13} {:>11} {:>11}",
+        "shape",
+        "dims",
+        "cold ms",
+        "warm(mem) us",
+        "warm(http) us med/p90",
+        "warm(disk) us",
+        "mem x",
+        "disk x"
     );
     for r in &rows {
         println!(
-            "{:<18} {:>12} {:>12.2} {:>14.1} {:>13.1} {:>10.0}x {:>10.0}x",
+            "{:<18} {:>12} {:>12.2} {:>14.1} {:>20} {:>13.1} {:>10.0}x {:>10.0}x",
             r.label,
             format!("{}x{}x{}", r.dims.rows, r.dims.inner, r.dims.cols),
             r.cold_ms,
             r.warm_mem_us,
+            format!("{:.1}/{:.1}", r.warm_http_us.median, r.warm_http_us.p90),
             r.warm_disk_us,
             r.mem_speedup(),
             r.disk_speedup(),

@@ -214,6 +214,53 @@ pub fn write_bench_output(
     path
 }
 
+/// Minimum, median and 90th percentile of a set of timings, each the
+/// nearest-rank sample. On a shared host a disturbance only ever adds
+/// time, so the minimum is the estimate closest to the undisturbed
+/// cost; the median and p90 show how far one run may stray from it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Fastest sample.
+    pub min: f64,
+    /// Nearest-rank median.
+    pub median: f64,
+    /// Nearest-rank 90th percentile.
+    pub p90: f64,
+}
+
+impl Spread {
+    /// The spread of `samples`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `samples` is empty or holds a NaN.
+    pub fn of(samples: &[f64]) -> Self {
+        assert!(!samples.is_empty(), "a spread needs samples");
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("timings are not NaN"));
+        let rank = |p: f64| {
+            let n = sorted.len();
+            let r = (p * n as f64).ceil() as usize;
+            sorted[r.clamp(1, n) - 1]
+        };
+        Self {
+            min: sorted[0],
+            median: rank(0.5),
+            p90: rank(0.9),
+        }
+    }
+
+    /// Every statistic multiplied by `factor` (a unit change).
+    #[must_use]
+    pub fn scaled(self, factor: f64) -> Self {
+        Self {
+            min: self.min * factor,
+            median: self.median * factor,
+            p90: self.p90 * factor,
+        }
+    }
+}
+
 /// Prints the standard harness banner: what figure this regenerates and
 /// under which caps.
 pub fn banner(what: &str, cfg: &ExperimentConfig) {
@@ -229,6 +276,16 @@ pub fn banner(what: &str, cfg: &ExperimentConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spread_takes_nearest_rank_statistics() {
+        let samples: Vec<f64> = (1..=10).rev().map(f64::from).collect();
+        let s = Spread::of(&samples);
+        assert_eq!((s.min, s.median, s.p90), (1.0, 5.0, 9.0));
+        let one = Spread::of(&[3.0]);
+        assert_eq!((one.min, one.median, one.p90), (3.0, 3.0, 3.0));
+        assert_eq!(Spread::of(&[4.0, 2.0]).scaled(0.5).p90, 2.0);
+    }
 
     #[test]
     fn bench_output_goes_to_the_repo_root_only_at_the_committed_profile() {

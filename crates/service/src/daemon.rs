@@ -91,10 +91,9 @@ impl SweepService {
     }
 
     /// Flags shutdown without joining anything — the `POST /shutdown`
-    /// handler runs on a connection thread the accept loop owns, so it
-    /// must not block on worker joins itself. The accept loop notices
-    /// the flag and performs the actual [`Self::shutdown`] drain. Later
-    /// submissions are rejected at once.
+    /// handler runs on one of the HTTP front end's handler threads,
+    /// which `serve` joins before it performs the actual
+    /// [`Self::shutdown`] drain. Later submissions are rejected at once.
     pub fn request_shutdown(&self) {
         self.executor.request_shutdown();
     }

@@ -1,7 +1,9 @@
-//! End-to-end tests of the HTTP front end: route behaviour, and the
+//! End-to-end tests of the HTTP front end: route behaviour, the
 //! concurrency contract — N clients hammering `POST /sweep` on the
 //! same grid get bit-identical results to a serial `run_grid`, while
-//! coalescing ensures each distinct digest simulates exactly once.
+//! coalescing ensures each distinct digest simulates exactly once —
+//! and the front end's robustness: silent clients, a full handler
+//! pool, and shutdown with a sweep in flight.
 
 use indexmac::experiment::ExperimentConfig;
 use indexmac::record::{decode_cell_result, encode_cell_result};
@@ -10,8 +12,9 @@ use indexmac_kernels::GemmDims;
 use indexmac_service::{http, ResultStore, SweepService};
 use indexmac_sparse::NmPattern;
 use serde::Value;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("indexmac-http-{tag}-{}", std::process::id()));
@@ -25,7 +28,15 @@ fn start_server(
     dir: &std::path::Path,
     workers: usize,
 ) -> (SocketAddr, std::thread::JoinHandle<()>) {
-    let cfg = ExperimentConfig::fast();
+    start_server_with(ExperimentConfig::fast(), dir, workers)
+}
+
+/// [`start_server`] under `cfg`.
+fn start_server_with(
+    cfg: ExperimentConfig,
+    dir: &std::path::Path,
+    workers: usize,
+) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let store = ResultStore::open(dir).unwrap();
     let service = SweepService::start(cfg, store, workers);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -201,6 +212,166 @@ fn concurrent_clients_get_serial_results_with_single_simulation() {
 
     let (status, _) = request(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Writes one request on `stream` without reading the reply.
+fn send_request(stream: &mut TcpStream, method: &str, path: &str, body: &str) {
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body.as_bytes()).unwrap();
+}
+
+/// The status code of a whole `Connection: close` reply.
+fn status_of(raw: &str) -> u16 {
+    raw.split_whitespace()
+        .nth(1)
+        .expect("status line")
+        .parse()
+        .expect("numeric status")
+}
+
+fn statuses(response: &Value) -> Vec<&str> {
+    response
+        .get("cells")
+        .and_then(Value::as_array)
+        .expect("cells array")
+        .iter()
+        .map(|cell| cell.get("status").and_then(Value::as_str).expect("status"))
+        .collect()
+}
+
+#[test]
+fn a_silent_client_does_not_delay_a_hit() {
+    let dir = temp_dir("silent");
+    let (addr, server) = start_server(&dir, 1);
+    let (status, _) = request(addr, "POST", "/sweep", grid_body());
+    assert_eq!(status, 200);
+
+    // Connected, never sends a byte: it holds one handler until its
+    // read times out.
+    let silent = TcpStream::connect(addr).unwrap();
+    let t = Instant::now();
+    let (status, response) = request(addr, "POST", "/sweep", grid_body());
+    let elapsed = t.elapsed();
+    assert_eq!(status, 200);
+    assert_eq!(statuses(&response), ["hit", "hit"]);
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "a hit next to a silent client took {elapsed:?}"
+    );
+
+    drop(silent);
+    let (status, _) = request(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_full_handler_pool_answers_503_at_once() {
+    let dir = temp_dir("full");
+    let (addr, server) = start_server(&dir, 1);
+
+    // Silent connections take every handler, then every queue slot.
+    // Each one gets a moment to be handed over; the first connection
+    // that is answered at all is the first one turned away.
+    let mut held = Vec::new();
+    let mut turned_away = None;
+    for _ in 0..64 {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let mut first = [0u8; 1];
+        match stream.read(&mut first) {
+            Ok(_) => {
+                stream.set_read_timeout(None).unwrap();
+                let mut rest = String::new();
+                stream.read_to_string(&mut rest).unwrap();
+                turned_away = Some(format!("{}{rest}", char::from(first[0])));
+                break;
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                held.push(stream);
+            }
+            Err(e) => panic!("silent connection failed: {e}"),
+        }
+    }
+    let turned_away = turned_away.expect("the pool fills within 64 connections");
+    assert_eq!(status_of(&turned_away), 503, "reply: {turned_away}");
+    assert!(!held.is_empty(), "silent connections were held");
+
+    // The next client is answered at once, not after a silent one's
+    // read timeout.
+    let t = Instant::now();
+    let (status, body) = request(addr, "GET", "/healthz", "");
+    let elapsed = t.elapsed();
+    assert_eq!(status, 503);
+    assert!(
+        body.get("error").is_some(),
+        "503 carries a JSON error: {body:?}"
+    );
+    assert!(elapsed < Duration::from_secs(1), "the 503 took {elapsed:?}");
+
+    // Closing the silent connections frees the pool.
+    drop(held);
+    let (status, _) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    let (status, _) = request(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_answers_the_sweep_in_flight_and_returns() {
+    let dir = temp_dir("drain");
+    // Paper caps and one worker: four capped-BERT-sized cells keep the
+    // sweep in flight for a good part of a second.
+    let (addr, server) = start_server_with(ExperimentConfig::paper(), &dir, 1);
+    const CELLS: u64 = 4;
+    let body = r#"{"dims": ["64x512x128", "64x512x96"], "patterns": ["1:4", "2:4"]}"#;
+    let mut sweep = TcpStream::connect(addr).unwrap();
+    send_request(&mut sweep, "POST", "/sweep", body);
+
+    // Wait until the daemon has taken the sweep on.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let computed = loop {
+        let (status, stats) = request(addr, "GET", "/stats", "");
+        assert_eq!(status, 200);
+        if stats.get("misses").and_then(Value::as_u64) == Some(CELLS) {
+            break stats.get("computed").and_then(Value::as_u64).unwrap();
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the sweep never reached the daemon"
+        );
+        std::thread::yield_now();
+    };
+    assert!(computed < CELLS, "the sweep is still in flight");
+
+    let t = Instant::now();
+    let (status, body) = request(addr, "POST", "/shutdown", "");
+    assert_eq!((status, body.as_str()), (200, Some("draining")));
+
+    let mut raw = String::new();
+    sweep.read_to_string(&mut raw).unwrap();
+    assert_eq!(status_of(&raw), 200, "reply: {raw}");
+    let response = serde_json::from_str(raw.split("\r\n\r\n").nth(1).unwrap()).unwrap();
+    assert_eq!(statuses(&response), ["computed"; CELLS as usize]);
+
+    while !server.is_finished() {
+        assert!(
+            t.elapsed() < Duration::from_secs(10),
+            "serve did not return after shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     server.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
